@@ -1,25 +1,30 @@
 #ifndef CAPPLAN_COMMON_JSON_WRITER_H_
 #define CAPPLAN_COMMON_JSON_WRITER_H_
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "common/number_format.h"
 
 namespace capplan {
 
 // Minimal JSON writer shared by the report and telemetry serializers:
 // supports objects, arrays, strings, numbers, bools. Strings are escaped per
-// RFC 8259; doubles use shortest round-trip formatting; NaN/Inf are emitted
-// as null.
+// RFC 8259. Doubles use the shortest round-trip "%g" (integral values below
+// 1e15 as "%.0f"; AppendShortestDouble in common/number_format.h), the same
+// contract as the Prometheus exposition; NaN/Inf are emitted as null.
+// Journal, snapshot and CSV writers use "%.17g" instead. No output depends
+// on the C or C++ locale.
 class JsonWriter {
  public:
   explicit JsonWriter(bool pretty) : pretty_(pretty) {}
 
   void BeginObject() {
     Prefix();
-    out_ << '{';
+    out_ += '{';
     stack_.push_back('}');
     first_ = true;
     pending_key_ = false;
@@ -27,7 +32,7 @@ class JsonWriter {
   void EndObject() { End(); }
   void BeginArray(const std::string& key) {
     Key(key);
-    out_ << '[';
+    out_ += '[';
     stack_.push_back(']');
     first_ = true;
     pending_key_ = false;
@@ -37,7 +42,7 @@ class JsonWriter {
   void Key(const std::string& key) {
     Prefix();
     WriteString(key);
-    out_ << (pretty_ ? ": " : ":");
+    out_ += pretty_ ? ": " : ":";
     pending_key_ = true;
   }
 
@@ -53,12 +58,13 @@ class JsonWriter {
   }
   void Integer(const std::string& key, long long value) {
     Key(key);
-    out_ << value;
+    char buf[24];
+    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
     pending_key_ = false;
   }
   void Bool(const std::string& key, bool value) {
     Key(key);
-    out_ << (value ? "true" : "false");
+    out_ += value ? "true" : "false";
     pending_key_ = false;
   }
   void ArrayNumber(double value) {
@@ -66,15 +72,16 @@ class JsonWriter {
     WriteNumber(value);
   }
 
-  std::string Take() { return out_.str(); }
+  std::string Take() { return std::move(out_); }
 
  private:
   void Prefix() {
     if (pending_key_) return;  // value follows its key directly
     if (!stack_.empty()) {
-      if (!first_) out_ << ',';
+      if (!first_) out_ += ',';
       if (pretty_) {
-        out_ << '\n' << std::string(2 * stack_.size(), ' ');
+        out_ += '\n';
+        out_.append(2 * stack_.size(), ' ');
       }
     }
     first_ = false;
@@ -83,72 +90,54 @@ class JsonWriter {
     const char close = stack_.back();
     stack_.pop_back();
     if (pretty_) {
-      out_ << '\n' << std::string(2 * stack_.size(), ' ');
+      out_ += '\n';
+      out_.append(2 * stack_.size(), ' ');
     }
-    out_ << close;
+    out_ += close;
     first_ = false;
     pending_key_ = false;
   }
   void WriteString(const std::string& s) {
-    out_ << '"';
+    out_ += '"';
     for (char c : s) {
       switch (c) {
         case '"':
-          out_ << "\\\"";
+          out_ += "\\\"";
           break;
         case '\\':
-          out_ << "\\\\";
+          out_ += "\\\\";
           break;
         case '\n':
-          out_ << "\\n";
+          out_ += "\\n";
           break;
         case '\r':
-          out_ << "\\r";
+          out_ += "\\r";
           break;
         case '\t':
-          out_ << "\\t";
+          out_ += "\\t";
           break;
         default:
           if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x",
-                          static_cast<unsigned>(c));
-            out_ << buf;
+            static constexpr char kHex[] = "0123456789abcdef";
+            out_ += "\\u00";
+            out_ += kHex[(c >> 4) & 0xf];
+            out_ += kHex[c & 0xf];
           } else {
-            out_ << c;
+            out_ += c;
           }
       }
     }
-    out_ << '"';
+    out_ += '"';
   }
   void WriteNumber(double v) {
     if (std::isnan(v) || std::isinf(v)) {
-      out_ << "null";
+      out_ += "null";
       return;
     }
-    char buf[40];
-    if (v == std::floor(v) && std::fabs(v) < 1e15) {
-      // Integral values print as integers ("10", not "1e+01").
-      std::snprintf(buf, sizeof(buf), "%.0f", v);
-      out_ << buf;
-      return;
-    }
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    // Trim to shortest representation that round-trips.
-    for (int prec = 1; prec < 17; ++prec) {
-      char probe[40];
-      std::snprintf(probe, sizeof(probe), "%.*g", prec, v);
-      double back = 0.0;
-      std::sscanf(probe, "%lf", &back);
-      if (back == v) {
-        out_ << probe;
-        return;
-      }
-    }
-    out_ << buf;
+    AppendShortestDouble(&out_, v);
   }
 
-  std::ostringstream out_;
+  std::string out_;
   std::vector<char> stack_;
   bool first_ = true;
   bool pending_key_ = false;

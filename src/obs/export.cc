@@ -9,29 +9,20 @@
 #include <sstream>
 
 #include "common/json_writer.h"
+#include "common/number_format.h"
 
 namespace capplan::obs {
 
 namespace {
 
-// Prometheus value formatting: shortest round-trip decimal, integral values
-// without an exponent, infinities spelled per the exposition format.
+// Prometheus value formatting: the JSON writer's shortest round-trip decimal,
+// infinities spelled per the exposition format.
 std::string FormatPromValue(double v) {
   if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  char buf[40];
-  if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
-  for (int prec = 1; prec < 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    double back = 0.0;
-    std::sscanf(buf, "%lf", &back);
-    if (back == v) return buf;
-  }
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  std::string out;
+  AppendShortestDouble(&out, v);
+  return out;
 }
 
 void AppendLabelValue(std::string* out, const std::string& v) {

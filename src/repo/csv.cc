@@ -1,11 +1,11 @@
 #include "repo/csv.h"
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "common/fault.h"
+#include "common/number_format.h"
 
 namespace capplan::repo {
 
@@ -61,9 +61,9 @@ std::vector<std::string> SplitRecord(const std::string& line) {
 
 std::string FormatDouble(double v) {
   if (std::isnan(v)) return "nan";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  std::string out;
+  AppendDouble17(&out, v);
+  return out;
 }
 
 }  // namespace
@@ -119,11 +119,15 @@ Status WriteSeriesCsv(const std::string& path,
   if (!out) {
     return Status::IoError("WriteSeriesCsv: cannot open " + path);
   }
-  out << "# " << QuoteField(series.name()) << "," << series.start_epoch()
-      << "," << static_cast<int>(series.frequency()) << "\n";
+  // Integers go through std::to_string: the stream would group their
+  // digits the way the global C++ locale says.
+  out << "# " << QuoteField(series.name()) << ","
+      << std::to_string(series.start_epoch()) << ","
+      << std::to_string(static_cast<int>(series.frequency())) << "\n";
   out << "epoch,value\n";
   for (std::size_t i = 0; i < series.size(); ++i) {
-    out << series.TimestampAt(i) << "," << FormatDouble(series[i]) << "\n";
+    out << std::to_string(series.TimestampAt(i)) << ","
+        << FormatDouble(series[i]) << "\n";
   }
   out.flush();
   if (!out) {

@@ -1,9 +1,9 @@
 #include "repo/model_store.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "common/fault.h"
+#include "common/number_format.h"
 #include "repo/csv.h"
 
 namespace capplan::repo {
@@ -90,11 +90,9 @@ bool ModelRepository::IsStale(const std::string& key, std::int64_t now_epoch,
 
 std::string EncodeCoefficients(const std::vector<double>& coef) {
   std::string out;
-  char buf[40];
   for (std::size_t i = 0; i < coef.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%.17g", coef[i]);
     if (i > 0) out += ';';
-    out += buf;
+    AppendDouble17(&out, coef[i]);
   }
   return out;
 }
@@ -130,10 +128,10 @@ Status ModelRepository::Save(const std::string& path) const {
                   "generation", "promoted_at_epoch",   "live_mape",
                   "periods"};
   for (const auto& [_, m] : models_) {
-    char rmse[40], mape[40], live[40];
-    std::snprintf(rmse, sizeof(rmse), "%.17g", m.test_rmse);
-    std::snprintf(mape, sizeof(mape), "%.17g", m.test_mape);
-    std::snprintf(live, sizeof(live), "%.17g", m.live_mape);
+    std::string rmse, mape, live;
+    AppendDouble17(&rmse, m.test_rmse);
+    AppendDouble17(&mape, m.test_mape);
+    AppendDouble17(&live, m.live_mape);
     table.rows.push_back({m.key, m.technique, m.spec, rmse, mape,
                           std::to_string(m.fitted_at_epoch),
                           EncodeCoefficients(m.ar_coef),

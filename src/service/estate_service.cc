@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 
 #include "common/fault.h"
+#include "common/number_format.h"
 #include "core/batch_refit.h"
 #include "core/selector.h"
 #include "core/split.h"
@@ -28,16 +28,16 @@ double ElapsedMs(Clock::time_point since) {
 }
 
 std::string FmtDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  std::string out;
+  AppendDouble17(&out, v);
+  return out;
 }
 
 std::string JoinDoubles(const std::vector<double>& values) {
   std::string out;
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i > 0) out += ';';
-    out += FmtDouble(values[i]);
+    AppendDouble17(&out, values[i]);
   }
   return out;
 }

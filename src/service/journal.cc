@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/fault.h"
@@ -81,11 +80,17 @@ Result<EventKind> ParseEventKind(const std::string& name) {
 }
 
 std::string JournalEvent::Serialize() const {
-  std::ostringstream out;
-  out << kVersion << kSeparator << epoch << kSeparator << EventKindName(kind)
-      << kSeparator << span_id << kSeparator << Sanitize(key);
-  for (const auto& f : fields) out << kSeparator << Sanitize(f);
-  return out.str();
+  // std::to_string, not a stream: a stream would group the integers' digits
+  // the way the global C++ locale says, and Parse would misread them.
+  std::string out = std::string(kVersion) + kSeparator +
+                    std::to_string(epoch) + kSeparator + EventKindName(kind) +
+                    kSeparator + std::to_string(span_id) + kSeparator +
+                    Sanitize(key);
+  for (const auto& f : fields) {
+    out += kSeparator;
+    out += Sanitize(f);
+  }
+  return out;
 }
 
 Result<JournalEvent> JournalEvent::Parse(const std::string& line) {

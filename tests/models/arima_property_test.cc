@@ -3,8 +3,10 @@
 // between the psi-weight variance expansion and empirical forecast errors.
 
 #include <cmath>
+#include <ostream>
 #include <random>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -46,6 +48,24 @@ struct RecoveryCase {
   std::vector<double> theta;
   unsigned seed;
 };
+
+// Gives each case a stable name, e.g. "phi{0.6,-0.2}_theta{}_seed14".
+// Without it gtest prints the struct's raw bytes, which include the
+// vectors' heap addresses and so change from run to run.
+void PrintTo(const RecoveryCase& c, std::ostream* os) {
+  const auto coefficients = [os](const std::vector<double>& v) {
+    *os << '{';
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      *os << (i > 0 ? "," : "") << v[i];
+    }
+    *os << '}';
+  };
+  *os << "phi";
+  coefficients(c.phi);
+  *os << "_theta";
+  coefficients(c.theta);
+  *os << "_seed" << c.seed;
+}
 
 class ArimaRecoveryTest : public ::testing::TestWithParam<RecoveryCase> {};
 

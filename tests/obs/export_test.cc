@@ -93,6 +93,29 @@ TEST(PrometheusTest, LabelValuesRoundTripThroughEscaping) {
   EXPECT_EQ(parsed->samples[0].labels[0].second, awkward);
 }
 
+// Non-integral values take the shortest round-trip "%g" path; the text was
+// captured from the snprintf/sscanf writer and must not change by a byte.
+TEST(PrometheusTest, NonIntegralValueBytesArePinned) {
+  MetricsRegistry registry;
+  registry.GetGauge("ratio").Set(1.0 / 3);
+  registry.GetGauge("tiny").Set(-2.5e-7);
+  Histogram h = registry.GetHistogram("lag_ms", {0.0001, 0.25, 1e16});
+  h.Observe(0.1);
+  h.Observe(0.2);
+  EXPECT_EQ(ToPrometheusText(registry.Collect()),
+            "# TYPE lag_ms histogram\n"
+            "lag_ms_bucket{le=\"0.0001\"} 0\n"
+            "lag_ms_bucket{le=\"0.25\"} 2\n"
+            "lag_ms_bucket{le=\"1e+16\"} 2\n"
+            "lag_ms_bucket{le=\"+Inf\"} 2\n"
+            "lag_ms_sum 0.30000000000000004\n"
+            "lag_ms_count 2\n"
+            "# TYPE ratio gauge\n"
+            "ratio 0.3333333333333333\n"
+            "# TYPE tiny gauge\n"
+            "tiny -2.5e-07\n");
+}
+
 TEST(PrometheusTest, NonFiniteValuesUseTheSpecSpelling) {
   MetricsRegistry registry;
   registry.GetGauge("pos").Set(std::numeric_limits<double>::infinity());

@@ -164,6 +164,39 @@ TEST_F(HandlersTest, ForecastEndpoint) {
   EXPECT_NE(resp.body.find("\"mean\":[50,52"), std::string::npos);
 }
 
+// Every other forecast here is integral, which prints as "%.0f". These
+// values take the shortest round-trip "%g" path instead; the body was
+// captured from the snprintf/sscanf writer and must not change by a byte.
+TEST_F(HandlersTest, ForecastBodyBytesArePinned) {
+  auto view = std::make_shared<EstateView>();
+  view->now_epoch = 1000000;
+  InstanceStatus s;
+  s.key = "cdbm011/cpu";
+  s.instance = "cdbm011";
+  s.metric = "cpu";
+  s.has_forecast = true;
+  s.forecast.level = 0.95;
+  s.forecast.mean = {0.0001, 1.0 / 3, 123456.7, -2.5e-7, 1.5e16};
+  s.forecast.lower = {0.1 + 0.2, 2.5, 100.5, 1e15, -0.0};
+  s.forecast.upper = {0.125, 1e16, 52879.49, 5e-324, 1e-5};
+  s.forecast_start_epoch = 1700000000;
+  s.forecast_step_seconds = 3600;
+  s.spec = "HES a=0.1";
+  view->instances = {s};
+  channel_.Publish(view);
+  const HttpResponse resp =
+      handler_.Handle(Get("/v1/forecast?instance=cdbm011&metric=cpu"));
+  ASSERT_EQ(resp.status, 200);
+  EXPECT_EQ(resp.body,
+            "{\"key\":\"cdbm011/cpu\",\"view_version\":1,"
+            "\"start_epoch\":1700000000,\"step_seconds\":3600,"
+            "\"spec\":\"HES a=0.1\",\"degradation\":\"full\","
+            "\"forecast\":{\"level\":0.95,"
+            "\"mean\":[0.0001,0.3333333333333333,123456.7,-2.5e-07,1.5e+16],"
+            "\"lower\":[0.30000000000000004,2.5,100.5,1e+15,-0],"
+            "\"upper\":[0.125,1e+16,52879.49,5e-324,1e-05]}}");
+}
+
 TEST_F(HandlersTest, ForecastHorizonTruncates) {
   PublishEstate();
   const HttpResponse resp = handler_.Handle(

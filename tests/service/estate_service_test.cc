@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -302,6 +303,61 @@ TEST(EstateServiceTest, RecoversFromSnapshotPlusJournalSuffix) {
   ASSERT_EQ(recovered.ActiveAlerts().size(), 1u);
   EXPECT_EQ(recovered.FindHourly(recovered.keys()[0])->size(),
             1011u);
+  std::filesystem::remove_all(config.state_dir);
+}
+
+// The journal and the snapshot write doubles as "%.17g". The fit_ok line
+// below is what the service journals for these values, and the forecast
+// row is what its snapshot writes after replaying that line; both were
+// captured from the printf-based writers and must not change by a byte.
+TEST(EstateServiceTest, FitOkLineAndSnapshotRowBytesArePinned) {
+  const auto scenario = TestScenario();
+  workload::ClusterSimulator cluster(scenario, 7);
+  auto config = FastConfig();
+  config.state_dir = FreshStateDir("pinned_bytes");
+  config.snapshot_every_ticks = 0;
+  const std::vector<WatchConfig> watches = {{0, workload::Metric::kCpu, 80.0}};
+  const std::string key = EstateService::KeyFor(cluster, watches[0]);
+  const std::int64_t now =
+      cluster.start_epoch() + config.warmup_days * kDay + kHour;
+
+  const std::string fit_ok_fields =
+      "HES|ETS(A,A,A)[24]|0.30000000000000004|12.345000000000001|" +
+      std::to_string(now) + "|" + std::to_string(now + kHour) +
+      "|3600|0.94999999999999996|"
+      "0.0001;0.33333333333333331;123456.7;"
+      "-2.4999999999999999e-07;15000000000000000|"
+      "0.30000000000000004;2.5;100.5;1000000000000000;-0|"
+      "0.125;10000000000000000;52879.489999999998;6.0221407599999999e+23;"
+      "1.0000000000000001e-05|0|0.875|1|" +
+      std::to_string(now);
+  const std::string fit_ok_line = "v2|" + std::to_string(now) + "|fit_ok|42|" +
+                                  key + "|" + fit_ok_fields;
+  auto parsed = JournalEvent::Parse(fit_ok_line);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->Serialize(), fit_ok_line);
+  {
+    std::filesystem::create_directories(config.state_dir);
+    std::ofstream journal(config.state_dir + "/journal.log");
+    journal << "v2|" << std::to_string(now) << "|tick|0|\n"
+            << fit_ok_line << "\n";
+  }
+
+  EstateService recovered(&cluster, watches, config);
+  const Status recover = recovered.Recover();
+  ASSERT_TRUE(recover.ok()) << recover.ToString();
+  ASSERT_TRUE(recovered.Checkpoint().ok());
+  std::ifstream in(config.state_dir + "/snapshot.forecasts.csv");
+  std::string header, row;
+  ASSERT_TRUE(std::getline(in, header));
+  ASSERT_TRUE(std::getline(in, row));
+  EXPECT_EQ(row, key + ",\"HES ETS(A,A,A)[24]\"," + std::to_string(now + kHour) +
+                     ",3600,0.94999999999999996,"
+                     "0.0001;0.33333333333333331;123456.7;"
+                     "-2.4999999999999999e-07;15000000000000000,"
+                     "0.30000000000000004;2.5;100.5;1000000000000000;-0,"
+                     "0.125;10000000000000000;52879.489999999998;"
+                     "6.0221407599999999e+23;1.0000000000000001e-05,0");
   std::filesystem::remove_all(config.state_dir);
 }
 
