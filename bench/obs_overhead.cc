@@ -62,7 +62,7 @@ double RunOnceMs(const std::vector<double>& train,
 
 // Same selection workload, plus the flight-recorder hot path once per
 // candidate: one wide event (key + two attrs) and one exemplar-carrying
-// histogram observation — the shape ApplyOutcome and the serve handler
+// histogram observation — the shape DecideOutcome and the serve handler
 // execute per unit of work. With `instrumented` false the loop records the
 // plain histogram observation only, which is the pre-flight-recorder
 // baseline the overhead is measured against.

@@ -74,6 +74,7 @@
 #include "core/split.h"          // IWYU pragma: export
 
 #include "service/estate_service.h"  // IWYU pragma: export
+#include "service/events.h"          // IWYU pragma: export
 #include "service/journal.h"         // IWYU pragma: export
 #include "service/scheduler.h"       // IWYU pragma: export
 #include "service/telemetry.h"       // IWYU pragma: export

@@ -59,7 +59,8 @@ class JsonWriter {
   void Integer(const std::string& key, long long value) {
     Key(key);
     char buf[24];
-    out_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+    const auto r = std::to_chars(buf, buf + sizeof(buf), value);
+    out_.append(buf, static_cast<std::size_t>(r.ptr - buf));
     pending_key_ = false;
   }
   void Bool(const std::string& key, bool value) {

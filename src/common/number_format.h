@@ -4,12 +4,15 @@
 #include <charconv>
 #include <cmath>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 namespace capplan {
 
-// The two double formats every text writer uses, built on std::to_chars /
-// std::from_chars so neither depends on the C or C++ locale. Each writes
-// exactly the bytes of the printf recipe it names (glibc spellings).
+// The two double formats every text writer uses, and the one strict parser
+// every reader uses, built on std::to_chars / std::from_chars so none of
+// them depends on the C or C++ locale. Each writer writes exactly the bytes
+// of the printf recipe it names (glibc spellings).
 //
 // - JSON bodies and Prometheus text: AppendShortestDouble.
 // - Journal lines, snapshots, the model registry and series CSV:
@@ -57,6 +60,30 @@ inline void AppendDouble17(std::string* out, double v) {
   const auto r =
       std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17);
   out->append(buf, r.ptr);
+}
+
+// The read side of both writers: all of `text` or nothing ("1.5x", "",
+// " 1", "+1" and values that do not fit the type are rejected; `*out` is
+// written only on success). ParseDouble reads every double either writer
+// emits, subnormals, "inf" and "-nan" included.
+inline bool ParseDouble(std::string_view text, double* out) {
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const auto r = std::from_chars(text.data(), end, v);
+  if (r.ec != std::errc() || r.ptr != end) return false;
+  *out = v;
+  return true;
+}
+
+// Base 10, any integer type: ParseInt(text, &epoch) reads an int64.
+template <typename Int>
+inline bool ParseInt(std::string_view text, Int* out) {
+  Int v = 0;
+  const char* end = text.data() + text.size();
+  const auto r = std::from_chars(text.data(), end, v);
+  if (r.ec != std::errc() || r.ptr != end) return false;
+  *out = v;
+  return true;
 }
 
 }  // namespace capplan

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -213,9 +212,7 @@ bool ParseValueToken(const std::string& token, double* out) {
     *out = std::numeric_limits<double>::quiet_NaN();
     return true;
   }
-  char* end = nullptr;
-  *out = std::strtod(token.c_str(), &end);
-  return end != nullptr && *end == '\0' && end != token.c_str();
+  return ParseDouble(token, out);
 }
 
 // Parses `name{k="v",...} value [# {k="v",...} value]`, leaving `labels`

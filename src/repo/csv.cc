@@ -150,10 +150,11 @@ Result<tsa::TimeSeries> ReadSeriesCsv(const std::string& path) {
     return Status::IoError("ReadSeriesCsv: malformed metadata line");
   }
   const std::string name = meta[0];
-  const std::int64_t start_epoch = std::stoll(meta[1]);
-  const int freq_int = std::stoi(meta[2]);
-  if (freq_int < 0 || freq_int > static_cast<int>(tsa::Frequency::kMonthly)) {
-    return Status::IoError("ReadSeriesCsv: bad frequency code");
+  std::int64_t start_epoch = 0;
+  int freq_int = 0;
+  if (!ParseInt(meta[1], &start_epoch) || !ParseInt(meta[2], &freq_int) ||
+      freq_int < 0 || freq_int > static_cast<int>(tsa::Frequency::kMonthly)) {
+    return Status::IoError("ReadSeriesCsv: malformed metadata line");
   }
   // Skip the column header.
   if (!std::getline(in, line)) {
@@ -163,14 +164,11 @@ Result<tsa::TimeSeries> ReadSeriesCsv(const std::string& path) {
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     const std::vector<std::string> fields = SplitRecord(line);
-    if (fields.size() != 2) {
+    double value = 0.0;
+    if (fields.size() != 2 || !ParseDouble(fields[1], &value)) {
       return Status::IoError("ReadSeriesCsv: malformed data row");
     }
-    if (fields[1] == "nan") {
-      values.push_back(std::nan(""));
-    } else {
-      values.push_back(std::stod(fields[1]));
-    }
+    values.push_back(value);
   }
   return tsa::TimeSeries(name, start_epoch,
                          static_cast<tsa::Frequency>(freq_int),

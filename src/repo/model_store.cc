@@ -1,5 +1,7 @@
 #include "repo/model_store.h"
 
+#include <algorithm>
+#include <string_view>
 #include <utility>
 
 #include "common/fault.h"
@@ -21,17 +23,6 @@ void ModelRepository::Promote(StoredModel model) {
     previous_[model.key] = it->second;
   }
   models_[model.key] = std::move(model);
-}
-
-Result<StoredModel> ModelRepository::Rollback(const std::string& key) {
-  auto prev = previous_.find(key);
-  if (prev == previous_.end()) {
-    return Status::NotFound("ModelRepository: no rollback lineage for " + key);
-  }
-  StoredModel restored = std::move(prev->second);
-  previous_.erase(prev);
-  models_[key] = restored;
-  return restored;
 }
 
 void ModelRepository::Reinstate(const StoredModel& model) {
@@ -99,18 +90,18 @@ std::string EncodeCoefficients(const std::vector<double>& coef) {
 
 Result<std::vector<double>> DecodeCoefficients(const std::string& text) {
   std::vector<double> out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find(';', pos);
-    if (end == std::string::npos) end = text.size();
-    try {
-      out.push_back(std::stod(text.substr(pos, end - pos)));
-    } catch (const std::exception&) {
+  if (text.empty()) return out;
+  const std::string_view view = text;
+  for (std::size_t pos = 0;;) {
+    const std::size_t end = std::min(view.find(';', pos), view.size());
+    double v = 0.0;
+    if (!ParseDouble(view.substr(pos, end - pos), &v)) {
       return Status::IoError("DecodeCoefficients: bad number in: " + text);
     }
+    out.push_back(v);
+    if (end == view.size()) return out;
     pos = end + 1;
   }
-  return out;
 }
 
 bool IsKnownTechnique(const std::string& technique) {
@@ -156,25 +147,19 @@ Result<StoredModel> ParseModelRow(const std::vector<std::string>& row) {
     return Status::IoError("unknown technique '" + m.technique +
                            "' for key " + m.key);
   }
-  try {
-    m.test_rmse = std::stod(row[3]);
-    m.test_mape = std::stod(row[4]);
-    m.fitted_at_epoch = std::stoll(row[5]);
-  } catch (const std::exception&) {
+  if (!ParseDouble(row[3], &m.test_rmse) ||
+      !ParseDouble(row[4], &m.test_mape) ||
+      !ParseInt(row[5], &m.fitted_at_epoch)) {
     return Status::IoError("bad number for key " + m.key);
   }
   if (row.size() >= 8) {
     CAPPLAN_ASSIGN_OR_RETURN(m.ar_coef, DecodeCoefficients(row[6]));
     CAPPLAN_ASSIGN_OR_RETURN(m.ma_coef, DecodeCoefficients(row[7]));
   }
-  if (row.size() >= 11) {
-    try {
-      m.generation = std::stoi(row[8]);
-      m.promoted_at_epoch = std::stoll(row[9]);
-      m.live_mape = std::stod(row[10]);
-    } catch (const std::exception&) {
-      return Status::IoError("bad lineage for key " + m.key);
-    }
+  if (row.size() >= 11 && (!ParseInt(row[8], &m.generation) ||
+                            !ParseInt(row[9], &m.promoted_at_epoch) ||
+                            !ParseDouble(row[10], &m.live_mape))) {
+    return Status::IoError("bad lineage for key " + m.key);
   }
   if (row.size() >= 12) {
     CAPPLAN_ASSIGN_OR_RETURN(m.periods, DecodeCoefficients(row[11]));

@@ -79,15 +79,11 @@ class ModelRepository {
   // it explicitly and it is preserved.
   void Promote(StoredModel model);
 
-  // Restores the rollback slot's model as champion, discarding the current
-  // one. The slot is cleared — the discarded model is exactly what went
-  // bad, so it must never be rolled back *to*; a second rollback needs a
-  // new promotion first. NotFound when the slot is empty.
-  Result<StoredModel> Rollback(const std::string& key);
-
-  // Reinstalls `model` as champion and clears the rollback slot — the
-  // replay-side twin of Rollback(), driven by the journalled kRollback
-  // payload instead of in-memory lineage.
+  // Reinstalls `model` (a rollback: the slot's model, or the journalled
+  // kRollback payload) as champion, discarding the current one. The slot is
+  // cleared — the discarded model is exactly what went bad, so it must
+  // never be rolled back *to*; a second rollback needs a new promotion
+  // first.
   void Reinstate(const StoredModel& model);
 
   bool HasPrevious(const std::string& key) const;

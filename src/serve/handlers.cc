@@ -2,12 +2,12 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 
 #include <algorithm>
 #include <vector>
 
 #include "common/json_writer.h"
+#include "common/number_format.h"
 #include "core/capacity.h"
 #include "core/report_json.h"
 #include "obs/event_log.h"
@@ -48,24 +48,12 @@ HttpResponse UnprocessableResponse(const Status& status) {
                        status.message());
 }
 
-// Strict double parse for query parameters; rejects trailing junk and
-// non-finite spellings ("nan", "inf") so they cannot smuggle past the
-// planner's own finiteness checks as literal NaN thresholds.
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) return false;
-  if (!std::isfinite(v)) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseLong(const std::string& s, long* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return false;
+// The strict number parser, also rejecting non-finite spellings ("nan",
+// "inf") so they cannot smuggle past the planner's own finiteness checks
+// as literal NaN thresholds.
+bool ParseFinite(const std::string& s, double* out) {
+  double v = 0.0;
+  if (!ParseDouble(s, &v) || !std::isfinite(v)) return false;
   *out = v;
   return true;
 }
@@ -372,7 +360,7 @@ HttpResponse EstateQueryHandler::HandleForecast(const HttpRequest& request,
   const auto h = request.query.find("horizon");
   if (h != request.query.end()) {
     long parsed = 0;
-    if (!ParseLong(h->second, &parsed) || parsed < 1) {
+    if (!ParseInt(h->second, &parsed) || parsed < 1) {
       return ErrorResponse(400, "InvalidArgument",
                            "horizon must be a positive integer");
     }
@@ -409,7 +397,7 @@ HttpResponse EstateQueryHandler::HandleBreach(const HttpRequest& request,
 
   double threshold = s->threshold;
   const auto t = request.query.find("threshold");
-  if (t != request.query.end() && !ParseDouble(t->second, &threshold)) {
+  if (t != request.query.end() && !ParseFinite(t->second, &threshold)) {
     return ErrorResponse(400, "InvalidArgument",
                          "threshold must be a finite number");
   }
@@ -440,7 +428,7 @@ HttpResponse EstateQueryHandler::HandleHeadroom(const HttpRequest& request,
 
   const auto c = request.query.find("capacity");
   double capacity = 0.0;
-  if (c == request.query.end() || !ParseDouble(c->second, &capacity)) {
+  if (c == request.query.end() || !ParseFinite(c->second, &capacity)) {
     return ErrorResponse(400, "InvalidArgument",
                          "required query parameter: capacity=<number>");
   }
@@ -474,7 +462,7 @@ HttpResponse EstateQueryHandler::HandleDecompose(const HttpRequest& request,
   double band = 3.0;
   const auto band_it = request.query.find("band");
   if (band_it != request.query.end() &&
-      (!ParseDouble(band_it->second, &band) || band <= 0.0)) {
+      (!ParseFinite(band_it->second, &band) || band <= 0.0)) {
     return ErrorResponse(400, "InvalidArgument",
                          "band must be a positive number");
   }
@@ -644,7 +632,7 @@ bool ParseEventFilter(const HttpRequest& request, long default_limit,
     if (k == "key") {
       out->key = v;
     } else if (k == "shard") {
-      if (!ParseLong(v, &out->shard) || out->shard < 0) {
+      if (!ParseInt(v, &out->shard) || out->shard < 0) {
         *error = ErrorResponse(400, "InvalidArgument",
                                "shard must be a non-negative integer");
         return false;
@@ -659,14 +647,14 @@ bool ParseEventFilter(const HttpRequest& request, long default_limit,
     } else if (k == "outcome") {
       out->outcome = v;
     } else if (k == "min_duration_ms") {
-      if (!ParseDouble(v, &out->min_duration_ms) ||
+      if (!ParseFinite(v, &out->min_duration_ms) ||
           out->min_duration_ms < 0.0) {
         *error = ErrorResponse(400, "InvalidArgument",
                                "min_duration_ms must be a non-negative number");
         return false;
       }
     } else if (k == "limit") {
-      if (!ParseLong(v, &out->limit) || out->limit < 1 || out->limit > 1000) {
+      if (!ParseInt(v, &out->limit) || out->limit < 1 || out->limit > 1000) {
         *error = ErrorResponse(400, "InvalidArgument",
                                "limit must be an integer in [1, 1000]");
         return false;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <optional>
 
 #include "common/fault.h"
 #include "common/number_format.h"
@@ -27,46 +28,26 @@ double ElapsedMs(Clock::time_point since) {
       .count();
 }
 
-std::string FmtDouble(double v) {
-  std::string out;
-  AppendDouble17(&out, v);
-  return out;
-}
-
-std::string JoinDoubles(const std::vector<double>& values) {
-  std::string out;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ';';
-    AppendDouble17(&out, values[i]);
-  }
-  return out;
-}
-
-Result<std::vector<double>> ParseDoubles(const std::string& joined) {
-  std::vector<double> values;
-  if (joined.empty()) return values;
-  std::size_t begin = 0;
-  for (;;) {
-    const std::size_t pos = joined.find(';', begin);
-    const std::string token = pos == std::string::npos
-                                  ? joined.substr(begin)
-                                  : joined.substr(begin, pos - begin);
-    try {
-      values.push_back(std::stod(token));
-    } catch (...) {
-      return Status::IoError("service: bad double '" + token + "'");
+// The alert `fc` raises at `now`: its first step at or after `now` whose
+// mean, else whose upper bound, crosses `threshold`.
+std::optional<AlertEvent> FirstBreach(const CachedForecast& fc,
+                                      double threshold, std::int64_t now) {
+  if (fc.step_seconds <= 0) return std::nullopt;
+  std::int64_t first = (now - fc.start_epoch) / fc.step_seconds;
+  if ((now - fc.start_epoch) % fc.step_seconds != 0) ++first;
+  if (first < 0) first = 0;
+  for (const bool upper : {false, true}) {
+    const std::vector<double>& bound =
+        upper ? fc.forecast.upper : fc.forecast.mean;
+    for (std::size_t i = static_cast<std::size_t>(first); i < bound.size();
+         ++i) {
+      if (bound[i] > threshold) {
+        return AlertEvent{upper, fc.start_epoch + static_cast<std::int64_t>(i) *
+                                                      fc.step_seconds};
+      }
     }
-    if (pos == std::string::npos) return values;
-    begin = pos + 1;
   }
-}
-
-Result<std::int64_t> ParseInt64(const std::string& s) {
-  try {
-    return static_cast<std::int64_t>(std::stoll(s));
-  } catch (...) {
-    return Status::IoError("service: bad integer '" + s + "'");
-  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -511,8 +492,8 @@ void EstateService::SubmitBatch(PreparedBatch batch, TickReport* report) {
         for (const RefitJobInput& item : items) {
           obs::TraceSpan refit_span("service.refit", "service");
           FitOutcome out;
-          out.key = item.key;
-          out.fitted_at_epoch = item.fitted_at_epoch;
+          out.model.key = item.key;
+          out.model.fitted_at_epoch = item.fitted_at_epoch;
           out.span_id = refit_span.id();
           const auto t0 = Clock::now();
           // Sentinel pass: classify, repair what is safe, mask outages.
@@ -542,36 +523,38 @@ void EstateService::SubmitBatch(PreparedBatch batch, TickReport* report) {
             continue;
           }
           out.status = Status::OK();
-          out.technique = core::TechniqueName(rep->chosen_family);
-          out.spec = rep->chosen_spec;
-          out.test_rmse = rep->test_accuracy.rmse;
-          out.test_mape = rep->test_accuracy.mape;
-          out.ar_coef = std::move(rep->chosen_ar);
-          out.ma_coef = std::move(rep->chosen_ma);
+          repo::StoredModel& model = out.model;
+          model.technique = core::TechniqueName(rep->chosen_family);
+          model.spec = rep->chosen_spec;
+          model.test_rmse = rep->test_accuracy.rmse;
+          model.test_mape = rep->test_accuracy.mape;
+          model.ar_coef = std::move(rep->chosen_ar);
+          model.ma_coef = std::move(rep->chosen_ma);
           for (const auto& season : rep->seasons) {
-            out.periods.push_back(static_cast<double>(season.period));
+            model.periods.push_back(static_cast<double>(season.period));
           }
-          out.forecast = std::move(rep->forecast);
-          out.forecast_start_epoch = rep->forecast_start_epoch;
-          out.forecast_step_seconds =
-              tsa::FrequencySeconds(item.window.frequency());
-          out.degradation = rep->degradation;
+          CachedForecast& fc = out.forecast;
+          fc.forecast = std::move(rep->forecast);
+          fc.start_epoch = rep->forecast_start_epoch;
+          fc.step_seconds = tsa::FrequencySeconds(item.window.frequency());
+          fc.spec = model.technique + " " + model.spec;
+          fc.degradation = rep->degradation;
           if (out.quality_gated &&
-              out.degradation == core::DegradationLevel::kFull) {
-            out.degradation = core::DegradationLevel::kHesOnly;
+              fc.degradation == core::DegradationLevel::kFull) {
+            fc.degradation = core::DegradationLevel::kHesOnly;
           }
           // Chaos sites: a refit that "succeeds" with a ruined model. The
           // first ruins the held-out accuracy (what the promotion gate
           // sees); the second ruins the forecast itself while keeping the
           // reported accuracy clean — the live guardrail must catch it.
           if (FaultFires("pipeline.poison_fit")) {
-            out.test_rmse = 1e6;
-            out.test_mape = 1e6;
+            model.test_rmse = 1e6;
+            model.test_mape = 1e6;
           }
           if (FaultFires("pipeline.poison_forecast")) {
-            for (double& v : out.forecast.mean) v = v * 10.0 + 1e3;
-            for (double& v : out.forecast.lower) v = v * 10.0 + 1e3;
-            for (double& v : out.forecast.upper) v = v * 10.0 + 1e3;
+            for (double& v : fc.forecast.mean) v = v * 10.0 + 1e3;
+            for (double& v : fc.forecast.lower) v = v * 10.0 + 1e3;
+            for (double& v : fc.forecast.upper) v = v * 10.0 + 1e3;
           }
           bo.outcomes.push_back(std::move(out));
         }
@@ -594,7 +577,7 @@ void EstateService::CollectFinished(bool block, TickReport* report) {
     }
     BatchOutcome batch = it->get();
     for (const FitOutcome& outcome : batch.outcomes) {
-      ApplyOutcome(outcome, report);
+      DecideOutcome(outcome, report);
     }
     ShardTelemetry* st = shards_[batch.shard]->telemetry;
     st->fourier_hits.Inc(batch.fourier_hits);
@@ -604,22 +587,14 @@ void EstateService::CollectFinished(bool block, TickReport* report) {
   }
 }
 
-void EstateService::ApplyOutcome(const FitOutcome& outcome,
-                                 TickReport* report) {
-  const std::string& key = outcome.key;
-  RetrainScheduler& scheduler = ShardForKey(key).scheduler;
-  quality_[key] = outcome.quality;
-  if (outcome.quality_gated) ++telemetry_.quality_gated;
+void EstateService::DecideOutcome(const FitOutcome& outcome,
+                                  TickReport* report) {
+  const std::string& key = outcome.model.key;
+  const double test_mape = outcome.model.test_mape;
   // Every journal event from this outcome carries the worker's refit span
   // id, so a replayed failure can be located in the trace dump.
-  JournalEvent quality_event{now_,
-                             EventKind::kQuality,
-                             key,
-                             {FmtDouble(outcome.quality.score),
-                              outcome.quality.trainable ? "1" : "0",
-                              outcome.quality.verdict}};
-  quality_event.span_id = outcome.span_id;
-  JournalAppend(quality_event);
+  Commit({now_, key, outcome.span_id, QualityEvent{outcome.quality}});
+  if (outcome.quality_gated) ++telemetry_.quality_gated;
   // Flight recorder: one wide event per refit, sharing the worker's span id
   // with the journal events above (the /v1/debug <-> journal correlation
   // contract) and feeding the fit-stage histogram's exemplar slot so a
@@ -636,9 +611,9 @@ void EstateService::ApplyOutcome(const FitOutcome& outcome,
     ev.dur_ns = static_cast<std::uint64_t>(outcome.wall_ms * 1e6);
     ev.start_ns = events.NowNs() > ev.dur_ns ? events.NowNs() - ev.dur_ns : 0;
     ev.outcome = outcome.status.ok() ? "ok" : "error";
-    ev.AddAttr("test_mape", outcome.test_mape);
-    ev.AddAttr("degradation",
-               static_cast<double>(static_cast<int>(outcome.degradation)));
+    ev.AddAttr("test_mape", test_mape);
+    ev.AddAttr("degradation", static_cast<double>(static_cast<int>(
+                                  outcome.forecast.degradation)));
     ev.AddAttr("quality_score", outcome.quality.score);
     refit_event_id = events.Emit(ev);
     if (outcome.quality.short_gaps_filled > 0 ||
@@ -664,176 +639,106 @@ void EstateService::ApplyOutcome(const FitOutcome& outcome,
   }
   telemetry_.fit_stage.RecordWithExemplar(outcome.wall_ms, outcome.span_id,
                                           refit_event_id);
-  if (outcome.status.ok()) {
-    // The finished fit is a *challenger*. The current champion's live
-    // rolling MAPE (percent) is the accuracy bar; with enough scored
-    // evidence, a challenger whose held-out MAPE regresses past tolerance
-    // is rejected and the champion keeps serving.
-    EstateShard& shard = ShardForKey(key);
-    const std::int64_t next_due =
-        outcome.fitted_at_epoch + config_.staleness.max_age_seconds;
-    double champion_live_pct = -1.0;
-    std::size_t champion_scored = 0;
-    if (const auto g = shard.guardrail.find(key); g != shard.guardrail.end()) {
-      const double frac = g->second.tracker.live_mape();
-      if (frac >= 0.0) champion_live_pct = frac * 100.0;
-      champion_scored = g->second.tracker.window_size();
+  EstateShard& shard = ShardForKey(key);
+  if (!outcome.status.ok()) {
+    const ScheduleEntry after = shard.scheduler.AfterFailure(key, now_);
+    ++telemetry_.refits_failed;
+    if (report != nullptr) ++report->refits_failed;
+    Commit({now_, key, outcome.span_id,
+            FitFailEvent{after.consecutive_failures,
+                         after.quarantined ? -1 : after.due_epoch,
+                         outcome.status.ToString()}});
+    if (after.quarantined) {
+      ++telemetry_.quarantines;
+      Commit({now_, key, outcome.span_id, QuarantineEvent{}});
     }
-    const bool has_champion = registry_.Contains(key);
-    if (config_.guardrail.enabled && has_champion &&
-        champion_live_pct >= 0.0 &&
-        champion_scored >= config_.guardrail.promotion_min_scored) {
-      const double reference = std::max(
-          champion_live_pct, config_.guardrail.reference_mape_floor_pct);
-      if (outcome.test_mape >
-          config_.guardrail.promotion_tolerance_ratio * reference) {
-        // Gate says no: the champion (model, forecast, tracker baseline)
-        // stays exactly as it is. The refit still *completed* — it counts
-        // as succeeded and reschedules normally — only the install is
-        // refused.
-        scheduler.OnSuccess(key, next_due);
-        ++telemetry_.refits_succeeded;
-        ++telemetry_.promotions_rejected;
-        if (report != nullptr) {
-          ++report->refits_completed;
-          ++report->promotions_rejected;
-        }
-        JournalEvent reject_event{now_,
-                                  EventKind::kPromotion,
-                                  key,
-                                  {"reject", outcome.technique, outcome.spec,
-                                   FmtDouble(outcome.test_mape),
-                                   FmtDouble(champion_live_pct),
-                                   std::to_string(next_due)}};
-        reject_event.span_id = outcome.span_id;
-        JournalAppend(reject_event);
-        if (events.enabled()) {
-          obs::WideEvent ev;
-          ev.kind = obs::WideEventKind::kPromotion;
-          ev.set_key(key);
-          ev.shard = static_cast<std::int32_t>(ShardOfKey(key));
-          ev.span_id = outcome.span_id;
-          ev.journal_seq = journal_seq_;
-          ev.start_ns = events.NowNs();
-          ev.outcome = "rejected";
-          ev.AddAttr("challenger_mape", outcome.test_mape);
-          ev.AddAttr("champion_live_mape", champion_live_pct);
-          events.Emit(ev);
-        }
-        return;
-      }
-    }
-    repo::StoredModel model;
-    model.key = key;
-    model.technique = outcome.technique;
-    model.spec = outcome.spec;
-    model.test_rmse = outcome.test_rmse;
-    model.test_mape = outcome.test_mape;
-    model.fitted_at_epoch = outcome.fitted_at_epoch;
-    model.ar_coef = outcome.ar_coef;
-    model.ma_coef = outcome.ma_coef;
-    model.periods = outcome.periods;
-    model.promoted_at_epoch = now_;
-    if (has_champion) {
-      // Stamp the demoted champion with its final live accuracy (the bar a
-      // rollback compares against) and keep its forecast as the rollback
-      // target, paired with the registry's lineage slot.
-      if (champion_live_pct >= 0.0) {
-        registry_.UpdateLiveMape(key, champion_live_pct);
-      }
-      if (const auto fc = forecasts_.find(key); fc != forecasts_.end()) {
-        previous_forecasts_[key] = fc->second;
-      }
-    }
-    registry_.Promote(model);
-    int generation = 0;
-    if (const auto promoted = registry_.Get(key); promoted.ok()) {
-      generation = promoted->generation;
-    }
-    ++telemetry_.promotions;
-    if (const auto g = shard.guardrail.find(key); g != shard.guardrail.end()) {
-      // The new champion is judged only on its own errors.
-      g->second.tracker.ResetBaseline();
-    }
-    CachedForecast cached;
-    cached.forecast = outcome.forecast;
-    cached.start_epoch = outcome.forecast_start_epoch;
-    cached.step_seconds = outcome.forecast_step_seconds;
-    cached.spec = outcome.technique + " " + outcome.spec;
-    cached.degradation = outcome.degradation;
-    forecasts_[key] = std::move(cached);
-    scheduler.OnSuccess(key, next_due);
+    return;
+  }
+  // The finished fit is a *challenger*. The current champion's live rolling
+  // MAPE (percent) is the accuracy bar; with enough scored evidence, a
+  // challenger whose held-out MAPE regresses past tolerance is rejected and
+  // the champion keeps serving.
+  const std::int64_t next_due =
+      outcome.model.fitted_at_epoch + config_.staleness.max_age_seconds;
+  double champion_live_pct = -1.0;
+  std::size_t champion_scored = 0;
+  const auto tracker = shard.guardrail.find(key);
+  if (tracker != shard.guardrail.end()) {
+    const double frac = tracker->second.tracker.live_mape();
+    if (frac >= 0.0) champion_live_pct = frac * 100.0;
+    champion_scored = tracker->second.tracker.window_size();
+  }
+  const auto champion = registry_.Get(key);
+  if (config_.guardrail.enabled && champion.ok() && champion_live_pct >= 0.0 &&
+      champion_scored >= config_.guardrail.promotion_min_scored &&
+      test_mape > config_.guardrail.promotion_tolerance_ratio *
+                      std::max(champion_live_pct,
+                               config_.guardrail.reference_mape_floor_pct)) {
+    // Gate says no: the champion (model, forecast, tracker baseline) stays
+    // exactly as it is. The refit still *completed* — it counts as
+    // succeeded and reschedules normally — only the install is refused.
     ++telemetry_.refits_succeeded;
-    if (outcome.degradation != core::DegradationLevel::kFull) {
-      ++telemetry_.refits_degraded;
-      if (report != nullptr) ++report->refits_degraded;
+    ++telemetry_.promotions_rejected;
+    if (report != nullptr) {
+      ++report->refits_completed;
+      ++report->promotions_rejected;
     }
-    if (report != nullptr) ++report->refits_completed;
-    JournalEvent fit_event{
-        now_,
-        EventKind::kFitOk,
-        key,
-        {outcome.technique, outcome.spec, FmtDouble(outcome.test_rmse),
-         FmtDouble(outcome.test_mape),
-         std::to_string(outcome.fitted_at_epoch),
-         std::to_string(outcome.forecast_start_epoch),
-         std::to_string(outcome.forecast_step_seconds),
-         FmtDouble(outcome.forecast.level),
-         JoinDoubles(outcome.forecast.mean),
-         JoinDoubles(outcome.forecast.lower),
-         JoinDoubles(outcome.forecast.upper),
-         std::to_string(static_cast<int>(outcome.degradation)),
-         FmtDouble(outcome.quality.score), std::to_string(generation),
-         std::to_string(now_)}};
-    fit_event.span_id = outcome.span_id;
-    JournalAppend(fit_event);
+    Commit({now_, key, outcome.span_id,
+            PromotionEvent{outcome.model.technique, outcome.model.spec,
+                           test_mape, champion_live_pct, next_due}});
     if (events.enabled()) {
       obs::WideEvent ev;
       ev.kind = obs::WideEventKind::kPromotion;
       ev.set_key(key);
-      ev.shard = static_cast<std::int32_t>(ShardOfKey(key));
+      ev.shard = static_cast<std::int32_t>(shard.id);
       ev.span_id = outcome.span_id;
       ev.journal_seq = journal_seq_;
       ev.start_ns = events.NowNs();
-      ev.outcome = "promoted";
-      ev.AddAttr("generation", static_cast<double>(generation));
-      ev.AddAttr("test_mape", outcome.test_mape);
+      ev.outcome = "rejected";
+      ev.AddAttr("challenger_mape", test_mape);
+      ev.AddAttr("champion_live_mape", champion_live_pct);
       events.Emit(ev);
     }
-  } else {
-    const bool quarantined = scheduler.OnFailure(key, now_);
-    ++telemetry_.refits_failed;
-    if (report != nullptr) ++report->refits_failed;
-    auto entry = scheduler.Get(key);
-    const int failures = entry.ok() ? entry->consecutive_failures : 0;
-    const std::int64_t next_due =
-        quarantined ? -1 : (entry.ok() ? entry->due_epoch : -1);
-    JournalEvent fail_event{now_,
-                            EventKind::kFitFail,
-                            key,
-                            {std::to_string(failures),
-                             std::to_string(next_due),
-                             outcome.status.ToString()}};
-    fail_event.span_id = outcome.span_id;
-    JournalAppend(fail_event);
-    if (quarantined) {
-      ++telemetry_.quarantines;
-      JournalEvent quarantine_event{now_, EventKind::kQuarantine, key, {}};
-      quarantine_event.span_id = outcome.span_id;
-      JournalAppend(quarantine_event);
-    }
+    return;
+  }
+  FitOkEvent fit{outcome.model, outcome.forecast, outcome.quality.score};
+  fit.model.generation = (champion.ok() ? champion->generation : 0) + 1;
+  fit.model.promoted_at_epoch = now_;
+  // The demoted champion is stamped with its final live accuracy: the bar
+  // a rollback to it compares against.
+  if (champion.ok()) fit.demoted_live_mape = champion_live_pct;
+  const int generation = fit.model.generation;
+  Commit({now_, key, outcome.span_id, std::move(fit)});
+  // The new champion is judged only on its own errors.
+  if (tracker != shard.guardrail.end()) tracker->second.tracker.ResetBaseline();
+  ++telemetry_.promotions;
+  ++telemetry_.refits_succeeded;
+  if (outcome.forecast.degradation != core::DegradationLevel::kFull) {
+    ++telemetry_.refits_degraded;
+    if (report != nullptr) ++report->refits_degraded;
+  }
+  if (report != nullptr) ++report->refits_completed;
+  if (events.enabled()) {
+    obs::WideEvent ev;
+    ev.kind = obs::WideEventKind::kPromotion;
+    ev.set_key(key);
+    ev.shard = static_cast<std::int32_t>(shard.id);
+    ev.span_id = outcome.span_id;
+    ev.journal_seq = journal_seq_;
+    ev.start_ns = events.NowNs();
+    ev.outcome = "promoted";
+    ev.AddAttr("generation", static_cast<double>(generation));
+    ev.AddAttr("test_mape", test_mape);
+    events.Emit(ev);
   }
 }
 
 void EstateService::EvaluateAlerts(TickReport* report) {
   obs::TraceSpan span("service.alerts", "service");
   const auto t0 = Clock::now();
-  struct Transition {
-    std::string key;
-    bool raise = false;
-    ServiceAlert alert;
-  };
-  std::vector<Transition> transitions;
+  // Raises and clears only; the prognosis of an alert that stays active is
+  // refreshed by the tick event (Apply).
+  std::vector<Event> transitions;
   for (const auto& key : keys_) {
     auto it = forecasts_.find(key);
     if (it == forecasts_.end()) continue;
@@ -846,69 +751,26 @@ void EstateService::EvaluateAlerts(TickReport* report) {
       continue;
     }
     ++telemetry_.forecast_cache_hits;
-    const double threshold = watches_[watch_index_.at(key)].threshold;
-    // First forecast step at or after the current clock.
-    std::int64_t first = (now_ - fc.start_epoch) / fc.step_seconds;
-    if ((now_ - fc.start_epoch) % fc.step_seconds != 0) ++first;
-    if (first < 0) first = 0;
-    bool mean_breach = false;
-    bool upper_breach = false;
-    std::int64_t breach_epoch = 0;
-    for (std::size_t i = static_cast<std::size_t>(first);
-         i < fc.forecast.mean.size(); ++i) {
-      if (fc.forecast.mean[i] > threshold) {
-        mean_breach = true;
-        breach_epoch =
-            fc.start_epoch + static_cast<std::int64_t>(i) * fc.step_seconds;
-        break;
-      }
-    }
-    if (!mean_breach) {
-      for (std::size_t i = static_cast<std::size_t>(first);
-           i < fc.forecast.upper.size(); ++i) {
-        if (fc.forecast.upper[i] > threshold) {
-          upper_breach = true;
-          breach_epoch =
-              fc.start_epoch + static_cast<std::int64_t>(i) * fc.step_seconds;
-          break;
-        }
-      }
-    }
-    const bool breach = mean_breach || upper_breach;
-    auto active = alerts_.find(key);
-    if (breach && active == alerts_.end()) {
-      ServiceAlert alert;
-      alert.key = key;
-      alert.upper_only = !mean_breach;
-      alert.predicted_breach_epoch = breach_epoch;
-      alert.raised_at_epoch = now_;
-      transitions.push_back({key, true, alert});
-    } else if (!breach && active != alerts_.end()) {
-      transitions.push_back({key, false, {}});
-    } else if (breach && active != alerts_.end()) {
-      // Refresh the prognosis silently; no new journal event.
-      active->second.upper_only = !mean_breach;
-      active->second.predicted_breach_epoch = breach_epoch;
+    const auto breach =
+        FirstBreach(fc, watches_[watch_index_.at(key)].threshold, now_);
+    const bool active = alerts_.count(key) > 0;
+    if (breach && !active) {
+      transitions.push_back({now_, key, 0, *breach});
+    } else if (!breach && active) {
+      transitions.push_back({now_, key, 0, AlertClearEvent{}});
     }
   }
   telemetry_.forecast_stage.Record(ElapsedMs(t0));
 
   const auto t1 = Clock::now();
-  for (const auto& tr : transitions) {
-    if (tr.raise) {
-      alerts_[tr.key] = tr.alert;
+  for (const Event& transition : transitions) {
+    Commit(transition);
+    if (transition.kind() == EventKind::kAlert) {
       ++telemetry_.alerts_raised;
       if (report != nullptr) ++report->alerts_raised;
-      JournalAppend({now_,
-                     EventKind::kAlert,
-                     tr.key,
-                     {tr.alert.upper_only ? "upper" : "mean",
-                      std::to_string(tr.alert.predicted_breach_epoch)}});
     } else {
-      alerts_.erase(tr.key);
       ++telemetry_.alerts_cleared;
       if (report != nullptr) ++report->alerts_cleared;
-      JournalAppend({now_, EventKind::kAlertClear, tr.key, {}});
     }
   }
   telemetry_.alert_stage.Record(ElapsedMs(t1));
@@ -948,42 +810,22 @@ void EstateService::EvaluateGuardrails(TickReport* report) {
         continue;
       }
       obs::TraceSpan span("guardrail.rollback", "service");
-      const auto restored = registry_.Rollback(key);
-      if (!restored.ok()) continue;
-      const CachedForecast fc = pf->second;
-      previous_forecasts_.erase(pf);
-      forecasts_[key] = fc;  // byte-equal restore of the old champion's view
+      // The restored champion is old by definition — refit it soon, but
+      // through the same backoff-respecting gate as a drift alarm.
+      std::int64_t next_due = -1;
+      if (const auto sched = shard.scheduler.Get(key); sched.ok()) {
+        next_due = sched->due_epoch;
+        if (!sched->quarantined && !sched->in_flight &&
+            sched->consecutive_failures == 0 && sched->due_epoch > now_) {
+          next_due = now_;
+        }
+      }
+      // Restores model and forecast byte-equal to the old champion's.
+      Commit({now_, key, 0, RollbackEvent{*prev, pf->second, next_due}});
       entry.tracker.ResetBaseline();
       ++telemetry_.rollbacks;
       ++shard.rollbacks;
       if (report != nullptr) ++report->rollbacks;
-      // The restored champion is old by definition — refit it soon, but
-      // through the same backoff-respecting gate as a drift alarm.
-      if (const auto sched = shard.scheduler.Get(key);
-          sched.ok() && !sched->quarantined && !sched->in_flight &&
-          sched->consecutive_failures == 0 && sched->due_epoch > now_) {
-        shard.scheduler.PullForward(key, now_);
-      }
-      std::int64_t next_due = -1;
-      if (const auto sched = shard.scheduler.Get(key); sched.ok()) {
-        next_due = sched->due_epoch;
-      }
-      JournalAppend(
-          {now_,
-           EventKind::kRollback,
-           key,
-           {restored->technique, restored->spec,
-            FmtDouble(restored->test_rmse), FmtDouble(restored->test_mape),
-            std::to_string(restored->fitted_at_epoch),
-            std::to_string(restored->generation),
-            std::to_string(restored->promoted_at_epoch),
-            FmtDouble(restored->live_mape), JoinDoubles(restored->ar_coef),
-            JoinDoubles(restored->ma_coef), std::to_string(fc.start_epoch),
-            std::to_string(fc.step_seconds), FmtDouble(fc.forecast.level),
-            JoinDoubles(fc.forecast.mean), JoinDoubles(fc.forecast.lower),
-            JoinDoubles(fc.forecast.upper),
-            std::to_string(static_cast<int>(fc.degradation)),
-            std::to_string(next_due)}});
       obs::EventLog& events = obs::EventLog::Instance();
       if (events.enabled()) {
         obs::WideEvent ev;
@@ -996,7 +838,7 @@ void EstateService::EvaluateGuardrails(TickReport* report) {
         ev.outcome = "rolled_back";
         ev.AddAttr("live_mape", live_pct);
         ev.AddAttr("reference_mape", reference);
-        ev.AddAttr("generation", static_cast<double>(restored->generation));
+        ev.AddAttr("generation", static_cast<double>(prev->generation));
         events.Emit(ev);
       }
     }
@@ -1161,13 +1003,12 @@ Result<TickReport> EstateService::Tick() {
     }
   }
   telemetry_.ingest_stage.Record(ElapsedMs(t0));
-  // The cursor only advances once every shard ingested its slice: a failed
-  // tick leaves the window un-consumed, so the next tick backfills it and
-  // no sample is lost.
+  // The cursor only advances with the tick event, once every shard ingested
+  // its slice: a failed tick leaves the window un-consumed, so the next
+  // tick backfills it and no sample is lost.
   for (const ShardTickOutput& out : outputs) {
     CAPPLAN_RETURN_NOT_OK(out.status);
   }
-  cursor_ = now_;
   for (ShardTickOutput& out : outputs) {
     report.samples_ingested += out.samples_ingested;
     report.refits_dispatched += out.refits_dispatched;
@@ -1182,9 +1023,8 @@ Result<TickReport> EstateService::Tick() {
 
   // Durability failures do not stop the clock: a tick that cannot be
   // journalled or snapshotted is still a served tick, counted as an
-  // absorbed I/O error (JournalAppend counts its own failures).
-  (void)JournalAppend({now_, EventKind::kTick, "", {}});
-  ++ticks_;
+  // absorbed I/O error (Commit counts its own failures).
+  (void)Commit({now_, "", 0, TickEvent{}});
   ++telemetry_.ticks;
   if (config_.snapshot_every_ticks > 0 && !config_.state_dir.empty() &&
       ticks_ % static_cast<std::uint64_t>(config_.snapshot_every_ticks) ==
@@ -1235,8 +1075,11 @@ Status EstateService::Checkpoint() {
 }
 
 Status EstateService::ReleaseQuarantine(const std::string& key) {
-  CAPPLAN_RETURN_NOT_OK(ShardForKey(key).scheduler.Release(key, now_));
-  return JournalAppend({now_, EventKind::kRelease, key, {}});
+  if (!IsQuarantined(key)) {
+    return Status::FailedPrecondition("service: " + key +
+                                      " is not quarantined");
+  }
+  return Commit({now_, key, 0, ReleaseEvent{}});
 }
 
 core::DegradationLevel EstateService::ForecastDegradation(
@@ -1330,23 +1173,6 @@ Status EstateService::DumpTrace(const std::string& path) const {
   return obs::WriteChromeTraceFile(obs::Tracer::Instance().Drain(), path);
 }
 
-Status EstateService::JournalAppend(JournalEvent event) {
-  if (!journal_.is_open()) return Status::OK();  // ephemeral service
-  if (event.span_id == 0) event.span_id = obs::CurrentSpanId();
-  Status st = journal_.Append(event);
-  if (!st.ok()) {
-    // Availability beats durability: callers keep serving with a degraded
-    // journal, and the counters make the durability gap visible. Recovery
-    // from such a journal is still consistent — it just replays less.
-    ++telemetry_.journal_write_failures;
-    ++telemetry_.io_errors;
-    return st;
-  }
-  ++telemetry_.journal_events;
-  ++journal_seq_;
-  return Status::OK();
-}
-
 Status EstateService::WriteSnapshot() {
   obs::TraceSpan span("service.snapshot", "service");
   const std::string& dir = config_.state_dir;
@@ -1355,26 +1181,15 @@ Status EstateService::WriteSnapshot() {
   // One merged schedule CSV for the whole estate (same format as the
   // unsharded service ever wrote); rows route back to their shard by key
   // hash on recovery.
-  std::vector<ScheduleEntry> schedule;
-  for (const auto& shard : shards_) {
-    auto e = shard->scheduler.Entries();
-    schedule.insert(schedule.end(), std::make_move_iterator(e.begin()),
-                    std::make_move_iterator(e.end()));
-  }
   CAPPLAN_RETURN_NOT_OK(RetrainScheduler::SaveEntries(
-      dir + "/snapshot.schedule.csv", std::move(schedule)));
+      dir + "/snapshot.schedule.csv", ScheduleEntries()));
 
   repo::CsvTable forecasts;
   forecasts.header = {"key",   "spec",  "start_epoch", "step_seconds",
                       "level", "mean",  "lower",       "upper",
                       "degradation"};
   for (const auto& [key, fc] : forecasts_) {
-    forecasts.rows.push_back(
-        {key, fc.spec, std::to_string(fc.start_epoch),
-         std::to_string(fc.step_seconds), FmtDouble(fc.forecast.level),
-         JoinDoubles(fc.forecast.mean), JoinDoubles(fc.forecast.lower),
-         JoinDoubles(fc.forecast.upper),
-         std::to_string(static_cast<int>(fc.degradation))});
+    forecasts.rows.push_back(EncodeForecastRow(key, fc));
   }
   CAPPLAN_RETURN_NOT_OK(
       repo::WriteCsv(dir + "/snapshot.forecasts.csv", forecasts));
@@ -1412,243 +1227,136 @@ Status EstateService::WriteSnapshot() {
     CAPPLAN_RETURN_NOT_OK(shard->metrics.SaveSegments(shard_dir));
   }
 
-  CAPPLAN_RETURN_NOT_OK(JournalAppend({now_, EventKind::kSnapshot, "", {}}));
+  CAPPLAN_RETURN_NOT_OK(Commit({now_, "", 0, SnapshotEvent{}}));
   ++telemetry_.snapshots_written;
   return Status::OK();
 }
 
-Status EstateService::ReplayEvent(const JournalEvent& event) {
-  switch (event.kind) {
+Status EstateService::Commit(const Event& event) {
+  Status st = Status::OK();
+  if (journal_.is_open()) {  // an ephemeral service journals nothing
+    JournalEvent line = EncodeEvent(event);
+    if (line.span_id == 0) line.span_id = obs::CurrentSpanId();
+    st = journal_.Append(line);
+    if (st.ok()) {
+      ++telemetry_.journal_events;
+      ++journal_seq_;
+    } else {
+      // Availability beats durability: callers keep serving with a degraded
+      // journal, and the counters make the durability gap visible. Recovery
+      // from such a journal is still consistent — it just replays less.
+      ++telemetry_.journal_write_failures;
+      ++telemetry_.io_errors;
+    }
+  }
+  Apply(event);
+  return st;
+}
+
+void EstateService::Apply(const Event& event) {
+  const std::string& key = event.key;
+  RetrainScheduler& scheduler = ShardForKey(key).scheduler;
+  // The key's schedule entry, or a fresh one due at the event.
+  const auto entry_or_new = [&] {
+    return scheduler.Get(key).value_or(ScheduleEntry{key, event.epoch});
+  };
+  switch (event.kind()) {
     case EventKind::kTick:
       now_ = event.epoch;
       cursor_ = event.epoch;
       ++ticks_;
-      return Status::OK();
-    case EventKind::kFitOk: {
-      // 11 fields = the pre-ladder layout (tolerated so existing journals
-      // keep replaying, as kFull); 13 adds degradation level + quality
-      // score; 15 adds champion lineage (generation, promoted_at).
-      if (event.fields.size() != 11 && event.fields.size() != 13 &&
-          event.fields.size() != 15) {
-        return Status::IoError("service: malformed fit_ok event");
-      }
-      repo::StoredModel model;
-      model.key = event.key;
-      model.technique = event.fields[0];
-      model.spec = event.fields[1];
-      try {
-        model.test_rmse = std::stod(event.fields[2]);
-        model.test_mape = std::stod(event.fields[3]);
-      } catch (...) {
-        return Status::IoError("service: bad accuracy in fit_ok event");
-      }
-      CAPPLAN_ASSIGN_OR_RETURN(model.fitted_at_epoch,
-                               ParseInt64(event.fields[4]));
-      CachedForecast cached;
-      CAPPLAN_ASSIGN_OR_RETURN(cached.start_epoch,
-                               ParseInt64(event.fields[5]));
-      CAPPLAN_ASSIGN_OR_RETURN(cached.step_seconds,
-                               ParseInt64(event.fields[6]));
-      try {
-        cached.forecast.level = std::stod(event.fields[7]);
-      } catch (...) {
-        return Status::IoError("service: bad level in fit_ok event");
-      }
-      CAPPLAN_ASSIGN_OR_RETURN(cached.forecast.mean,
-                               ParseDoubles(event.fields[8]));
-      CAPPLAN_ASSIGN_OR_RETURN(cached.forecast.lower,
-                               ParseDoubles(event.fields[9]));
-      CAPPLAN_ASSIGN_OR_RETURN(cached.forecast.upper,
-                               ParseDoubles(event.fields[10]));
-      if (event.fields.size() >= 13) {
-        CAPPLAN_ASSIGN_OR_RETURN(std::int64_t level,
-                                 ParseInt64(event.fields[11]));
-        if (level < 0 ||
-            level > static_cast<int>(core::DegradationLevel::kBaseline)) {
-          return Status::IoError("service: bad degradation in fit_ok event");
+      // Only raises and clears are journalled: every tick re-reads the
+      // prognosis of each active alert from the key's cached forecast.
+      for (auto& [alert_key, alert] : alerts_) {
+        const auto fc = forecasts_.find(alert_key);
+        const auto watch = watch_index_.find(alert_key);
+        if (fc == forecasts_.end() || watch == watch_index_.end()) continue;
+        if (const auto breach = FirstBreach(
+                fc->second, watches_[watch->second].threshold, now_)) {
+          alert.upper_only = breach->upper_only;
+          alert.predicted_breach_epoch = breach->predicted_breach_epoch;
         }
-        cached.degradation =
-            static_cast<core::DegradationLevel>(static_cast<int>(level));
       }
-      cached.spec = model.technique + " " + model.spec;
-      if (event.fields.size() == 15) {
-        // Lineage-carrying layout: replay the promotion itself, demoting
-        // the previously replayed champion into the rollback slot and
-        // keeping its forecast — so a journalled kRollback further down
-        // the suffix finds the same pair the live path had.
-        CAPPLAN_ASSIGN_OR_RETURN(std::int64_t generation,
-                                 ParseInt64(event.fields[13]));
-        CAPPLAN_ASSIGN_OR_RETURN(model.promoted_at_epoch,
-                                 ParseInt64(event.fields[14]));
-        model.generation = static_cast<int>(generation);
-        if (registry_.Contains(event.key)) {
-          if (const auto fc = forecasts_.find(event.key);
-              fc != forecasts_.end()) {
-            previous_forecasts_[event.key] = fc->second;
+      return;
+    case EventKind::kFitOk: {
+      const auto& fit = std::get<FitOkEvent>(event.body);
+      if (fit.model.generation > 0) {
+        // The displaced champion, stamped with its final live MAPE, and its
+        // forecast become the rollback slot.
+        if (registry_.Contains(key)) {
+          if (fit.demoted_live_mape >= 0.0) {
+            registry_.UpdateLiveMape(key, fit.demoted_live_mape);
+          }
+          if (const auto fc = forecasts_.find(key); fc != forecasts_.end()) {
+            previous_forecasts_[key] = fc->second;
           }
         }
-        registry_.Promote(model);
+        registry_.Promote(fit.model);
       } else {
-        registry_.Put(model);
+        registry_.Put(fit.model);  // pre-lineage layouts
       }
-      forecasts_[event.key] = std::move(cached);
-      ScheduleEntry entry;
-      entry.key = event.key;
-      entry.due_epoch =
-          model.fitted_at_epoch + config_.staleness.max_age_seconds;
-      ShardForKey(event.key).scheduler.Restore(std::move(entry));
-      return Status::OK();
+      forecasts_[key] = fit.forecast;
+      scheduler.Restore(
+          {key, fit.model.fitted_at_epoch + config_.staleness.max_age_seconds});
+      return;
     }
     case EventKind::kFitFail: {
-      if (event.fields.size() != 3) {
-        return Status::IoError("service: malformed fit_fail event");
-      }
-      ScheduleEntry entry;
-      entry.key = event.key;
-      try {
-        entry.consecutive_failures = std::stoi(event.fields[0]);
-      } catch (...) {
-        return Status::IoError("service: bad failure count in fit_fail");
-      }
-      CAPPLAN_ASSIGN_OR_RETURN(std::int64_t next_due,
-                               ParseInt64(event.fields[1]));
-      if (next_due < 0) {
-        entry.quarantined = true;
-        entry.due_epoch = event.epoch;
-      } else {
-        entry.due_epoch = next_due;
-      }
-      ShardForKey(event.key).scheduler.Restore(std::move(entry));
-      return Status::OK();
+      const auto& fail = std::get<FitFailEvent>(event.body);
+      // A quarantining failure keeps the due time the key was dispatched at.
+      ScheduleEntry entry = entry_or_new();
+      entry.consecutive_failures = fail.consecutive_failures;
+      entry.quarantined = fail.next_due < 0;
+      if (!entry.quarantined) entry.due_epoch = fail.next_due;
+      scheduler.Restore(std::move(entry));
+      return;
     }
     case EventKind::kQuarantine: {
-      ScheduleEntry entry;
-      entry.key = event.key;
-      entry.due_epoch = event.epoch;
-      entry.consecutive_failures = config_.retry.quarantine_after_failures;
+      ScheduleEntry entry = entry_or_new();
+      entry.consecutive_failures = std::max(
+          entry.consecutive_failures, config_.retry.quarantine_after_failures);
       entry.quarantined = true;
-      ShardForKey(event.key).scheduler.Restore(std::move(entry));
-      return Status::OK();
+      scheduler.Restore(std::move(entry));
+      return;
     }
-    case EventKind::kRelease: {
-      ScheduleEntry entry;
-      entry.key = event.key;
-      entry.due_epoch = event.epoch;
-      ShardForKey(event.key).scheduler.Restore(std::move(entry));
-      return Status::OK();
-    }
+    case EventKind::kRelease:
+      scheduler.Restore({key, event.epoch});
+      return;
     case EventKind::kAlert: {
-      if (event.fields.size() != 2) {
-        return Status::IoError("service: malformed alert event");
-      }
-      ServiceAlert alert;
-      alert.key = event.key;
-      alert.upper_only = event.fields[0] == "upper";
-      CAPPLAN_ASSIGN_OR_RETURN(alert.predicted_breach_epoch,
-                               ParseInt64(event.fields[1]));
-      alert.raised_at_epoch = event.epoch;
-      alerts_[event.key] = alert;
-      return Status::OK();
+      const auto& alert = std::get<AlertEvent>(event.body);
+      alerts_[key] = {key, alert.upper_only, alert.predicted_breach_epoch,
+                      event.epoch};
+      return;
     }
     case EventKind::kAlertClear:
-      alerts_.erase(event.key);
-      return Status::OK();
+      alerts_.erase(key);
+      return;
     case EventKind::kSnapshot:
-      return Status::OK();
-    case EventKind::kQuality: {
-      if (event.fields.size() != 3) {
-        return Status::IoError("service: malformed quality event");
-      }
-      quality::QualityReport q;
-      q.key = event.key;
-      try {
-        q.score = std::stod(event.fields[0]);
-      } catch (...) {
-        return Status::IoError("service: bad score in quality event");
-      }
-      q.trainable = event.fields[1] == "1";
-      q.verdict = event.fields[2];
-      quality_[event.key] = std::move(q);
-      return Status::OK();
-    }
-    case EventKind::kPromotion: {
-      // A rejected challenger: the champion stayed, only the schedule moved.
-      if (event.fields.size() != 6) {
-        return Status::IoError("service: malformed promotion event");
-      }
-      ScheduleEntry entry;
-      entry.key = event.key;
-      CAPPLAN_ASSIGN_OR_RETURN(entry.due_epoch, ParseInt64(event.fields[5]));
-      ShardForKey(event.key).scheduler.Restore(std::move(entry));
-      return Status::OK();
-    }
+      return;
+    case EventKind::kQuality:
+      quality_[key] = std::get<QualityEvent>(event.body).report;
+      return;
+    case EventKind::kPromotion:
+      scheduler.Restore({key, std::get<PromotionEvent>(event.body).next_due});
+      return;
     case EventKind::kRollback: {
-      // Self-contained: the full restored model + forecast payload, so
-      // replay needs no in-memory lineage (the rollback slot may be empty
-      // after a crash — exactly why the payload is journalled).
-      if (event.fields.size() != 18) {
-        return Status::IoError("service: malformed rollback event");
+      const auto& rollback = std::get<RollbackEvent>(event.body);
+      repo::StoredModel model = rollback.model;
+      // The line does not hold the model's periods; the lineage slot does
+      // whenever the promotion being undone was applied since the snapshot.
+      if (const auto slot = registry_.GetPrevious(key);
+          slot.ok() && slot->generation == model.generation &&
+          slot->fitted_at_epoch == model.fitted_at_epoch) {
+        model.periods = slot->periods;
       }
-      repo::StoredModel model;
-      model.key = event.key;
-      model.technique = event.fields[0];
-      model.spec = event.fields[1];
-      try {
-        model.test_rmse = std::stod(event.fields[2]);
-        model.test_mape = std::stod(event.fields[3]);
-        model.live_mape = std::stod(event.fields[7]);
-      } catch (...) {
-        return Status::IoError("service: bad accuracy in rollback event");
-      }
-      CAPPLAN_ASSIGN_OR_RETURN(model.fitted_at_epoch,
-                               ParseInt64(event.fields[4]));
-      CAPPLAN_ASSIGN_OR_RETURN(std::int64_t generation,
-                               ParseInt64(event.fields[5]));
-      model.generation = static_cast<int>(generation);
-      CAPPLAN_ASSIGN_OR_RETURN(model.promoted_at_epoch,
-                               ParseInt64(event.fields[6]));
-      CAPPLAN_ASSIGN_OR_RETURN(model.ar_coef, ParseDoubles(event.fields[8]));
-      CAPPLAN_ASSIGN_OR_RETURN(model.ma_coef, ParseDoubles(event.fields[9]));
       registry_.Reinstate(model);
-      CachedForecast cached;
-      CAPPLAN_ASSIGN_OR_RETURN(cached.start_epoch,
-                               ParseInt64(event.fields[10]));
-      CAPPLAN_ASSIGN_OR_RETURN(cached.step_seconds,
-                               ParseInt64(event.fields[11]));
-      try {
-        cached.forecast.level = std::stod(event.fields[12]);
-      } catch (...) {
-        return Status::IoError("service: bad level in rollback event");
-      }
-      CAPPLAN_ASSIGN_OR_RETURN(cached.forecast.mean,
-                               ParseDoubles(event.fields[13]));
-      CAPPLAN_ASSIGN_OR_RETURN(cached.forecast.lower,
-                               ParseDoubles(event.fields[14]));
-      CAPPLAN_ASSIGN_OR_RETURN(cached.forecast.upper,
-                               ParseDoubles(event.fields[15]));
-      CAPPLAN_ASSIGN_OR_RETURN(std::int64_t level,
-                               ParseInt64(event.fields[16]));
-      if (level < 0 ||
-          level > static_cast<int>(core::DegradationLevel::kBaseline)) {
-        return Status::IoError("service: bad degradation in rollback event");
-      }
-      cached.degradation =
-          static_cast<core::DegradationLevel>(static_cast<int>(level));
-      cached.spec = model.technique + " " + model.spec;
-      forecasts_[event.key] = std::move(cached);
-      previous_forecasts_.erase(event.key);
-      CAPPLAN_ASSIGN_OR_RETURN(std::int64_t next_due,
-                               ParseInt64(event.fields[17]));
-      if (next_due >= 0) {
-        ScheduleEntry entry;
-        entry.key = event.key;
-        entry.due_epoch = next_due;
-        ShardForKey(event.key).scheduler.Restore(std::move(entry));
-      }
-      return Status::OK();
+      forecasts_[key] = rollback.forecast;
+      previous_forecasts_.erase(key);
+      // Only the due time moves: failures, quarantine and an outstanding
+      // refit stay as they are.
+      if (rollback.next_due >= 0) scheduler.ScheduleAt(key, rollback.next_due);
+      return;
     }
   }
-  return Status::Internal("service: unhandled event kind");
 }
 
 Status EstateService::RecoverShardHistory(EstateShard* shard) {
@@ -1687,6 +1395,49 @@ Status EstateService::RecoverShardHistory(EstateShard* shard) {
   return IngestShard(shard, poll_from, cursor_);
 }
 
+Status EstateService::LoadSnapshot() {
+  const std::string& dir = config_.state_dir;
+  CAPPLAN_RETURN_NOT_OK(registry_.Load(dir + "/snapshot.registry.csv"));
+  // The schedule snapshot is one merged CSV; rows route back to their
+  // shard's scheduler by the same key hash that placed them.
+  CAPPLAN_ASSIGN_OR_RETURN(
+      std::vector<ScheduleEntry> schedule,
+      RetrainScheduler::LoadEntries(dir + "/snapshot.schedule.csv"));
+  for (auto& entry : schedule) {
+    ShardForKey(entry.key).scheduler.Restore(std::move(entry));
+  }
+  CAPPLAN_ASSIGN_OR_RETURN(repo::CsvTable forecasts,
+                           repo::ReadCsv(dir + "/snapshot.forecasts.csv"));
+  for (const auto& row : forecasts.rows) {
+    CAPPLAN_ASSIGN_OR_RETURN(auto keyed, DecodeForecastRow(row));
+    forecasts_[keyed.first] = std::move(keyed.second);
+  }
+  CAPPLAN_ASSIGN_OR_RETURN(repo::CsvTable alerts,
+                           repo::ReadCsv(dir + "/snapshot.alerts.csv"));
+  for (const auto& row : alerts.rows) {
+    ServiceAlert alert;
+    if (row.size() != 4 || !ParseInt(row[2], &alert.predicted_breach_epoch) ||
+        !ParseInt(row[3], &alert.raised_at_epoch)) {
+      return Status::IoError("service: malformed alert snapshot row");
+    }
+    alert.key = row[0];
+    alert.upper_only = row[1] == "1";
+    alerts_[alert.key] = alert;
+  }
+  CAPPLAN_ASSIGN_OR_RETURN(repo::CsvTable meta,
+                           repo::ReadCsv(dir + "/snapshot.meta.csv"));
+  for (const auto& row : meta.rows) {
+    std::int64_t value = 0;
+    if (row.size() != 2 || !ParseInt(row[1], &value)) {
+      return Status::IoError("service: malformed meta snapshot row");
+    }
+    if (row[0] == "now_epoch") now_ = value;
+    if (row[0] == "cursor_epoch") cursor_ = value;
+    if (row[0] == "ticks") ticks_ = static_cast<std::uint64_t>(value);
+  }
+  return Status::OK();
+}
+
 Status EstateService::Recover() {
   obs::TraceSpan span("service.recover", "service");
   if (started_) {
@@ -1711,74 +1462,7 @@ Status EstateService::Recover() {
     if (events[i].kind == EventKind::kSnapshot) replay_from = i + 1;
   }
   if (replay_from > 0) {
-    const std::string& dir = config_.state_dir;
-    CAPPLAN_RETURN_NOT_OK(registry_.Load(dir + "/snapshot.registry.csv"));
-    // The schedule snapshot is one merged CSV; rows route back to their
-    // shard's scheduler by the same key hash that placed them.
-    CAPPLAN_ASSIGN_OR_RETURN(
-        std::vector<ScheduleEntry> schedule,
-        RetrainScheduler::LoadEntries(dir + "/snapshot.schedule.csv"));
-    for (auto& entry : schedule) {
-      RetrainScheduler& scheduler = ShardForKey(entry.key).scheduler;
-      scheduler.Restore(std::move(entry));
-    }
-    CAPPLAN_ASSIGN_OR_RETURN(
-        repo::CsvTable forecasts,
-        repo::ReadCsv(dir + "/snapshot.forecasts.csv"));
-    for (const auto& row : forecasts.rows) {
-      // 8 columns = the pre-ladder snapshot layout (degradation -> kFull).
-      if (row.size() != 8 && row.size() != 9) {
-        return Status::IoError("service: malformed forecast snapshot row");
-      }
-      CachedForecast cached;
-      cached.spec = row[1];
-      CAPPLAN_ASSIGN_OR_RETURN(cached.start_epoch, ParseInt64(row[2]));
-      CAPPLAN_ASSIGN_OR_RETURN(cached.step_seconds, ParseInt64(row[3]));
-      try {
-        cached.forecast.level = std::stod(row[4]);
-      } catch (...) {
-        return Status::IoError("service: bad level in forecast snapshot");
-      }
-      CAPPLAN_ASSIGN_OR_RETURN(cached.forecast.mean, ParseDoubles(row[5]));
-      CAPPLAN_ASSIGN_OR_RETURN(cached.forecast.lower, ParseDoubles(row[6]));
-      CAPPLAN_ASSIGN_OR_RETURN(cached.forecast.upper, ParseDoubles(row[7]));
-      if (row.size() == 9) {
-        CAPPLAN_ASSIGN_OR_RETURN(std::int64_t level, ParseInt64(row[8]));
-        if (level < 0 ||
-            level > static_cast<int>(core::DegradationLevel::kBaseline)) {
-          return Status::IoError(
-              "service: bad degradation in forecast snapshot");
-        }
-        cached.degradation =
-            static_cast<core::DegradationLevel>(static_cast<int>(level));
-      }
-      forecasts_[row[0]] = std::move(cached);
-    }
-    CAPPLAN_ASSIGN_OR_RETURN(repo::CsvTable alerts,
-                             repo::ReadCsv(dir + "/snapshot.alerts.csv"));
-    for (const auto& row : alerts.rows) {
-      if (row.size() != 4) {
-        return Status::IoError("service: malformed alert snapshot row");
-      }
-      ServiceAlert alert;
-      alert.key = row[0];
-      alert.upper_only = row[1] == "1";
-      CAPPLAN_ASSIGN_OR_RETURN(alert.predicted_breach_epoch,
-                               ParseInt64(row[2]));
-      CAPPLAN_ASSIGN_OR_RETURN(alert.raised_at_epoch, ParseInt64(row[3]));
-      alerts_[alert.key] = alert;
-    }
-    CAPPLAN_ASSIGN_OR_RETURN(repo::CsvTable meta,
-                             repo::ReadCsv(dir + "/snapshot.meta.csv"));
-    for (const auto& row : meta.rows) {
-      if (row.size() != 2) {
-        return Status::IoError("service: malformed meta snapshot row");
-      }
-      CAPPLAN_ASSIGN_OR_RETURN(std::int64_t value, ParseInt64(row[1]));
-      if (row[0] == "now_epoch") now_ = value;
-      if (row[0] == "cursor_epoch") cursor_ = value;
-      if (row[0] == "ticks") ticks_ = static_cast<std::uint64_t>(value);
-    }
+    CAPPLAN_RETURN_NOT_OK(LoadSnapshot());
   } else {
     now_ = cluster_->start_epoch() +
            static_cast<std::int64_t>(config_.warmup_days) * 86400;
@@ -1786,8 +1470,10 @@ Status EstateService::Recover() {
     ticks_ = 0;
   }
 
+  // The suffix goes through the reducer the live path runs.
   for (std::size_t i = replay_from; i < events.size(); ++i) {
-    CAPPLAN_RETURN_NOT_OK(ReplayEvent(events[i]));
+    CAPPLAN_ASSIGN_OR_RETURN(const Event event, DecodeEvent(events[i]));
+    Apply(event);
   }
   // The sequence counter resumes at the journal's true length, so wide
   // events emitted after recovery keep pointing at absolute positions in

@@ -22,6 +22,7 @@
 #include "repo/repository.h"
 #include "serve/estate_view.h"
 #include "service/health.h"
+#include "service/events.h"
 #include "service/journal.h"
 #include "service/scheduler.h"
 #include "service/shard.h"
@@ -241,12 +242,13 @@ class EstateService {
   // schedules an initial fit for every watch.
   Status Start();
 
-  // Crash recovery: reloads the last snapshot from state_dir, replays the
-  // journal suffix to rebuild clock, registry, schedule, cached forecasts
-  // and alert state, then rebuilds the metric history by re-polling the
-  // deterministic agents up to the recovered cursor. (A real deployment
-  // would reload the repository's own persisted series instead; see
-  // MetricsRepository::SaveAll.)
+  // Crash recovery: reloads the last snapshot from state_dir, decodes the
+  // journal suffix and applies every event with Apply, the reducer the live
+  // path runs, to rebuild clock, registry, schedule, cached forecasts,
+  // quality verdicts and alert state, then rebuilds the metric history by
+  // re-polling the deterministic agents up to the recovered cursor. (A real
+  // deployment would reload the repository's own persisted series instead;
+  // see MetricsRepository::SaveAll.)
   Status Recover();
 
   // One scheduler cycle: ingest the elapsed window, check staleness and
@@ -341,6 +343,11 @@ class EstateService {
   }
   // Ladder rung of the key's cached forecast; kFull when no forecast yet.
   core::DegradationLevel ForecastDegradation(const std::string& key) const;
+  // The forecast each key's rollback slot holds: the demoted champion's,
+  // paired with registry().GetPrevious.
+  const std::map<std::string, CachedForecast>& rollback_forecasts() const {
+    return previous_forecasts_;
+  }
 
   // Deep health (service/health.h): per-shard state machine fed by tick
   // overruns, refit-queue depth, quarantine/rollback storms and I/O errors.
@@ -377,33 +384,14 @@ class EstateService {
                             const WatchConfig& watch);
 
  private:
-  struct CachedForecast {
-    models::Forecast forecast;
-    std::int64_t start_epoch = 0;   // timestamp of forecast step 1
-    std::int64_t step_seconds = 3600;
-    std::string spec;
-    // Ladder rung that produced this forecast; consumers treat anything
-    // above kFull as provisional capacity guidance.
-    core::DegradationLevel degradation = core::DegradationLevel::kFull;
-  };
-
   // Everything a worker returns; applied on the driver thread.
   struct FitOutcome {
-    std::string key;
-    std::int64_t fitted_at_epoch = 0;  // dispatch-time sim clock
     Status status;
-    std::string technique;
-    std::string spec;
-    double test_rmse = 0.0;
-    double test_mape = 0.0;
-    std::vector<double> ar_coef;  // winner's coefficients, for warm starts
-    std::vector<double> ma_coef;
-    std::vector<double> periods;  // detected seasonal periods at fit time
-    models::Forecast forecast;
-    std::int64_t forecast_start_epoch = 0;
-    std::int64_t forecast_step_seconds = 3600;
+    // The challenger: key, fitted_at (the dispatch-time sim clock), winner
+    // and accuracy, coefficients for warm starts, detected periods.
+    repo::StoredModel model;
+    CachedForecast forecast;
     double wall_ms = 0.0;
-    core::DegradationLevel degradation = core::DegradationLevel::kFull;
     bool quality_gated = false;  // sentinel kept this fit off the grid
     quality::QualityReport quality;
     // The worker's refit trace span, stamped onto this outcome's journal
@@ -465,7 +453,9 @@ class EstateService {
   ShardTickOutput TickShard(EstateShard* shard);
   void SubmitBatch(PreparedBatch batch, TickReport* report);
   void CollectFinished(bool block, TickReport* report);
-  void ApplyOutcome(const FitOutcome& outcome, TickReport* report);
+  // Decision code for a finished refit: the sentinel verdict, then the
+  // promotion gate's install or rejection, or the failure and quarantine.
+  void DecideOutcome(const FitOutcome& outcome, TickReport* report);
   void EvaluateAlerts(TickReport* report);
   // Shard-phase live scoring: every hourly actual the tick ingested is
   // scored against the key's active cached forecast (one guardrail tracker
@@ -483,15 +473,22 @@ class EstateService {
   void EvaluateHealth();
   void PublishView();
   Status WriteSnapshot();
-  Status ReplayEvent(const JournalEvent& event);
+  Status LoadSnapshot();
+  // Journals `event` (stamped with the calling thread's trace span when it
+  // has none) and applies it, even when the append fails; returns the
+  // append's status. Every journalled live transition goes through it.
+  Status Commit(const Event& event);
+  // The one reducer: the only code that changes the registry, the cached
+  // and rollback forecasts, alerts, quality verdicts, the journalled
+  // schedule transitions and the clock. The live path reaches it through
+  // Commit; Recover applies each decoded line of the journal suffix.
+  // Telemetry stays with the live decision code, so replay counts nothing.
+  void Apply(const Event& event);
   // Rebuilds one shard's metric history on recovery: reopen its segment
   // directory and re-poll only the missing suffix, or fall back to a full
   // re-poll when the segments are missing/damaged/inconsistent.
   Status RecoverShardHistory(EstateShard* shard);
   std::string ShardSegmentDir(std::size_t shard) const;
-  // Appends by value: events with span_id 0 are stamped with the calling
-  // thread's active trace span before serialization.
-  Status JournalAppend(JournalEvent event);
   std::string JournalPath() const;
 
   const workload::ClusterSimulator* cluster_;  // not owned

@@ -4,9 +4,11 @@
 #include <cstddef>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <utility>
 
 #include "common/fault.h"
+#include "common/number_format.h"
 
 namespace capplan::service {
 
@@ -15,6 +17,14 @@ namespace {
 constexpr char kSeparator = '|';
 constexpr const char* kVersionV1 = "v1";  // epoch|kind|key|fields...
 constexpr const char* kVersion = "v2";    // epoch|kind|span|key|fields...
+
+// Line spellings of the event kinds, in EventKind order.
+constexpr const char* kKindNames[] = {
+    "tick",        "fit_ok",   "fit_fail", "quarantine", "release",
+    "alert",       "alert_clear", "snapshot", "quality",  "promotion",
+    "rollback"};
+static_assert(std::size(kKindNames) ==
+              static_cast<std::size_t>(EventKind::kRollback) + 1);
 
 std::string Sanitize(const std::string& s) {
   std::string out = s;
@@ -41,40 +51,13 @@ std::vector<std::string> SplitLine(const std::string& line) {
 }  // namespace
 
 const char* EventKindName(EventKind kind) {
-  switch (kind) {
-    case EventKind::kTick:
-      return "tick";
-    case EventKind::kFitOk:
-      return "fit_ok";
-    case EventKind::kFitFail:
-      return "fit_fail";
-    case EventKind::kQuarantine:
-      return "quarantine";
-    case EventKind::kRelease:
-      return "release";
-    case EventKind::kAlert:
-      return "alert";
-    case EventKind::kAlertClear:
-      return "alert_clear";
-    case EventKind::kSnapshot:
-      return "snapshot";
-    case EventKind::kQuality:
-      return "quality";
-    case EventKind::kPromotion:
-      return "promotion";
-    case EventKind::kRollback:
-      return "rollback";
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(kind);
+  return i < std::size(kKindNames) ? kKindNames[i] : "?";
 }
 
 Result<EventKind> ParseEventKind(const std::string& name) {
-  for (EventKind k :
-       {EventKind::kTick, EventKind::kFitOk, EventKind::kFitFail,
-        EventKind::kQuarantine, EventKind::kRelease, EventKind::kAlert,
-        EventKind::kAlertClear, EventKind::kSnapshot, EventKind::kQuality,
-        EventKind::kPromotion, EventKind::kRollback}) {
-    if (name == EventKindName(k)) return k;
+  for (std::size_t i = 0; i < std::size(kKindNames); ++i) {
+    if (name == kKindNames[i]) return static_cast<EventKind>(i);
   }
   return Status::InvalidArgument("journal: unknown event kind '" + name + "'");
 }
@@ -101,17 +84,13 @@ Result<JournalEvent> JournalEvent::Parse(const std::string& line) {
     return Status::InvalidArgument("journal: malformed line");
   }
   JournalEvent event;
-  try {
-    event.epoch = std::stoll(parts[1]);
-  } catch (...) {
+  if (!ParseInt(parts[1], &event.epoch)) {
     return Status::InvalidArgument("journal: bad epoch in line");
   }
   CAPPLAN_ASSIGN_OR_RETURN(event.kind, ParseEventKind(parts[2]));
   std::size_t key_at = 3;
   if (v2) {
-    try {
-      event.span_id = std::stoull(parts[3]);
-    } catch (...) {
+    if (!ParseInt(parts[3], &event.span_id)) {
       return Status::InvalidArgument("journal: bad span id in line");
     }
     key_at = 4;
@@ -188,6 +167,10 @@ Result<std::vector<JournalEvent>> ReadJournal(const std::string& path) {
   std::string line;
   bool saw_garbage = false;
   while (std::getline(in, line)) {
+    // Every append ends its line with a newline. A final line without one
+    // is the torn tail of a crash, even when its prefix happens to parse
+    // (a cut fit_ok line can look like an older, shorter layout).
+    if (in.eof()) break;
     if (line.empty()) continue;
     auto event = JournalEvent::Parse(line);
     if (!event.ok()) {

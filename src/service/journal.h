@@ -21,9 +21,12 @@ enum class EventKind {
   kTick,        // clock advanced to `epoch`; no key
   kFitOk,       // fields: technique, spec, rmse, mape, fitted_at,
                 //         fc_start, fc_step, level, mean, lower, upper
-                //         (the last four ';'-joined), degradation,
-                //         quality score, generation, promoted_at (replay
-                //         also accepts the older 11- and 13-field layouts)
+                //         (the last three ';'-joined), degradation,
+                //         quality score, generation, promoted_at, ar_coef,
+                //         ma_coef, periods (each ';'-joined), and the
+                //         demoted champion's live MAPE (-1 = none): 19
+                //         fields. Replay also reads the older 11-, 13- and
+                //         15-field layouts (service/events.h).
   kFitFail,     // fields: consecutive_failures, next_due (-1 = quarantined),
                 //         status message
   kQuarantine,  // key removed from the dispatch rotation
@@ -38,13 +41,9 @@ enum class EventKind {
                 //         held-out MAPE, champion live MAPE, next_due.
                 //         (Accepted challengers are journalled as kFitOk.)
   kRollback,    // champion rolled back to the previous generation. Carries
-                //         the full restored model + forecast payload so
-                //         replay needs no in-memory lineage: technique,
-                //         spec, rmse, mape, fitted_at, generation,
-                //         promoted_at, live_mape, ar_coef, ma_coef,
-                //         fc_start, fc_step, level, mean, lower, upper,
-                //         degradation, next_due (18 fields; the coefficient
-                //         and forecast vectors ';'-joined).
+                //         the restored model (all but its periods) and
+                //         forecast, and next_due: 18 fields, listed with
+                //         every other layout in service/events.cc.
 };
 
 const char* EventKindName(EventKind kind);
@@ -95,7 +94,8 @@ class EventJournal {
 };
 
 // Reads every well-formed event from `path`. A torn final line (crash during
-// append) is skipped; a missing file yields an empty vector.
+// append: no terminating newline) is skipped even when its prefix parses; a
+// missing file yields an empty vector.
 Result<std::vector<JournalEvent>> ReadJournal(const std::string& path);
 
 }  // namespace capplan::service

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/number_format.h"
 #include "repo/csv.h"
 
 namespace capplan::service {
@@ -92,31 +93,18 @@ std::vector<std::string> RetrainScheduler::TakeDue(std::int64_t now_epoch) {
   return due;
 }
 
-void RetrainScheduler::OnSuccess(const std::string& key,
-                                 std::int64_t next_due_epoch) {
-  ScheduleEntry& entry = entries_[key];
-  entry.key = key;
-  entry.in_flight = false;
-  entry.consecutive_failures = 0;
-  entry.quarantined = false;
-  entry.due_epoch = next_due_epoch;
-  Push(key, next_due_epoch);
-}
-
-bool RetrainScheduler::OnFailure(const std::string& key,
-                                 std::int64_t now_epoch) {
-  ScheduleEntry& entry = entries_[key];
-  entry.key = key;
+ScheduleEntry RetrainScheduler::AfterFailure(const std::string& key,
+                                             std::int64_t now_epoch) const {
+  ScheduleEntry entry = Get(key).value_or(ScheduleEntry{key});
   entry.in_flight = false;
   entry.consecutive_failures += 1;
   if (entry.consecutive_failures >= policy_.quarantine_after_failures) {
-    entry.quarantined = true;
-    return true;
+    entry.quarantined = true;  // keeps the due time it was dispatched at
+  } else {
+    entry.due_epoch =
+        now_epoch + policy_.JitteredBackoffFor(key, entry.consecutive_failures);
   }
-  entry.due_epoch =
-      now_epoch + policy_.JitteredBackoffFor(key, entry.consecutive_failures);
-  Push(key, entry.due_epoch);
-  return false;
+  return entry;
 }
 
 void RetrainScheduler::Defer(const std::string& key, std::int64_t due_epoch) {
@@ -138,23 +126,6 @@ std::vector<std::string> RetrainScheduler::QuarantinedKeys() const {
     if (e.quarantined) keys.push_back(k);
   }
   return keys;
-}
-
-Status RetrainScheduler::Release(const std::string& key,
-                                 std::int64_t due_epoch) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    return Status::NotFound("scheduler: unknown key " + key);
-  }
-  if (!it->second.quarantined) {
-    return Status::FailedPrecondition("scheduler: " + key +
-                                      " is not quarantined");
-  }
-  it->second.quarantined = false;
-  it->second.consecutive_failures = 0;
-  it->second.due_epoch = due_epoch;
-  Push(key, due_epoch);
-  return Status::OK();
 }
 
 Result<ScheduleEntry> RetrainScheduler::Get(const std::string& key) const {
@@ -220,10 +191,8 @@ Result<std::vector<ScheduleEntry>> RetrainScheduler::LoadEntries(
     }
     ScheduleEntry entry;
     entry.key = row[0];
-    try {
-      entry.due_epoch = std::stoll(row[1]);
-      entry.consecutive_failures = std::stoi(row[2]);
-    } catch (...) {
+    if (!ParseInt(row[1], &entry.due_epoch) ||
+        !ParseInt(row[2], &entry.consecutive_failures)) {
       return Status::IoError("scheduler: bad number in " + path);
     }
     entry.quarantined = row[3] == "1";

@@ -65,25 +65,25 @@ class RetrainScheduler {
   // flight), marks it in flight, and returns the keys in due-time order.
   std::vector<std::string> TakeDue(std::int64_t now_epoch);
 
-  // Outcome callbacks for keys previously returned by TakeDue.
-  void OnSuccess(const std::string& key, std::int64_t next_due_epoch);
-  // Records a failure; returns true when this failure quarantined the key,
-  // otherwise the key is rescheduled at now + backoff.
-  bool OnFailure(const std::string& key, std::int64_t now_epoch);
+  // What a failed refit of `key` at `now_epoch` makes of its entry, without
+  // changing anything: one more consecutive failure, then either due again
+  // at now + backoff or quarantined (keeping its due time). Outcomes are
+  // recorded with Restore.
+  ScheduleEntry AfterFailure(const std::string& key,
+                             std::int64_t now_epoch) const;
   // Releases an in-flight mark and reschedules without touching the failure
   // count (e.g. not enough history yet).
   void Defer(const std::string& key, std::int64_t due_epoch);
 
   bool IsQuarantined(const std::string& key) const;
   std::vector<std::string> QuarantinedKeys() const;
-  // Puts a quarantined key back into the rotation at `due_epoch`.
-  Status Release(const std::string& key, std::int64_t due_epoch);
 
   Result<ScheduleEntry> Get(const std::string& key) const;
   std::vector<ScheduleEntry> Entries() const;  // key order
   std::size_t size() const { return entries_.size(); }
 
-  // Recovery path: overwrites the entry for `entry.key` (in_flight cleared).
+  // Overwrites the entry for `entry.key` (in_flight cleared): how outcomes,
+  // releases and recovery set a key's schedule.
   void Restore(ScheduleEntry entry);
 
   const RetryPolicy& policy() const { return policy_; }

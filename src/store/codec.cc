@@ -181,8 +181,8 @@ Result<std::vector<double>> DecodeInt(const std::uint8_t* data,
   BitReader r(data + 2, size - 2);
   std::vector<double> out;
   out.reserve(count);
-  std::int64_t prev = 0;
-  std::int64_t prev_delta = 0;
+  std::uint64_t prev = 0;  // wrapping, as in DecodeTimestamps
+  std::uint64_t prev_delta = 0;
   bool first = true;
   for (std::size_t i = 0; i < count; ++i) {
     if (has_gaps) {
@@ -196,21 +196,20 @@ Result<std::vector<double>> DecodeInt(const std::uint8_t* data,
       }
     }
     if (first) {
-      std::uint64_t raw = 0;
-      if (!r.ReadBits(64, &raw)) {
+      if (!r.ReadBits(64, &prev)) {
         return Status::IoError("codec: truncated int stream");
       }
-      prev = static_cast<std::int64_t>(raw);
       first = false;
     } else {
       std::int64_t dod = 0;
       if (!ReadDod(&r, &dod)) {
         return Status::IoError("codec: truncated int stream");
       }
-      prev_delta += dod;
+      prev_delta += static_cast<std::uint64_t>(dod);
       prev += prev_delta;
     }
-    out.push_back(std::ldexp(static_cast<double>(prev), -scale));
+    const auto m = static_cast<std::int64_t>(prev);
+    out.push_back(std::ldexp(static_cast<double>(m), -scale));
   }
   return out;
 }
@@ -346,21 +345,25 @@ std::uint32_t Crc32(const void* data, std::size_t len, std::uint32_t seed) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+// Deltas wrap in uint64_t: the bits of int64_t arithmetic wherever that
+// does not overflow, and defined where it would (any int64 timestamps, or
+// a damaged stream on decode).
 std::vector<std::uint8_t> EncodeTimestamps(
     const std::vector<std::int64_t>& timestamps) {
   BitWriter w;
-  std::int64_t prev = 0;
-  std::int64_t prev_delta = 0;
+  std::uint64_t prev = 0;
+  std::uint64_t prev_delta = 0;
   for (std::size_t i = 0; i < timestamps.size(); ++i) {
+    const auto t = static_cast<std::uint64_t>(timestamps[i]);
     if (i == 0) {
-      w.WriteBits(static_cast<std::uint64_t>(timestamps[0]), 64);
-      prev = timestamps[0];
+      w.WriteBits(t, 64);
+      prev = t;
       continue;
     }
-    const std::int64_t delta = timestamps[i] - prev;
-    WriteDod(&w, delta - prev_delta);
+    const std::uint64_t delta = t - prev;
+    WriteDod(&w, static_cast<std::int64_t>(delta - prev_delta));
     prev_delta = delta;
-    prev = timestamps[i];
+    prev = t;
   }
   return w.TakeBytes();
 }
@@ -376,17 +379,17 @@ Result<std::vector<std::int64_t>> DecodeTimestamps(const std::uint8_t* data,
   if (!r.ReadBits(64, &first)) {
     return Status::IoError("codec: truncated timestamp stream");
   }
-  std::int64_t prev = static_cast<std::int64_t>(first);
-  std::int64_t prev_delta = 0;
-  out.push_back(prev);
+  std::uint64_t prev = first;
+  std::uint64_t prev_delta = 0;
+  out.push_back(static_cast<std::int64_t>(prev));
   for (std::size_t i = 1; i < count; ++i) {
     std::int64_t dod = 0;
     if (!ReadDod(&r, &dod)) {
       return Status::IoError("codec: truncated timestamp stream");
     }
-    prev_delta += dod;
+    prev_delta += static_cast<std::uint64_t>(dod);
     prev += prev_delta;
-    out.push_back(prev);
+    out.push_back(static_cast<std::int64_t>(prev));
   }
   return out;
 }

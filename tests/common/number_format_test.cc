@@ -109,6 +109,75 @@ TEST(NumberFormatTest, RandomBitPatternsMatchPrintf) {
   ExpectMatchesReference(values);
 }
 
+std::uint64_t Bits(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// The parser reads back every "%.17g" the journal and snapshot writers
+// emit, bit for bit: the 120k random patterns above (subnormals included),
+// signed zeros, infinities and both NaN signs.
+TEST(NumberParseTest, ReadsEveryDouble17BitExactly) {
+  std::mt19937_64 rng(20261017);
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity()};
+  for (int i = 0; i < 100000; ++i) {
+    const double v = FromBits(rng());
+    if (!std::isnan(v)) values.push_back(v);
+  }
+  for (int i = 0; i < 20000; ++i) {
+    values.push_back(FromBits(rng() & ((std::uint64_t{1} << 52) - 1)));
+  }
+  int mismatches = 0;
+  for (double v : values) {
+    double back = 0.0;
+    if (!ParseDouble(Double17(v), &back) || Bits(back) != Bits(v)) {
+      if (++mismatches <= 5) ADD_FAILURE() << "'" << Double17(v) << "'";
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << values.size() << " values";
+
+  double v = 0.0;
+  ASSERT_TRUE(ParseDouble("4.9406564584124654e-324", &v));
+  EXPECT_EQ(Bits(v), 1u);  // std::stod throws out_of_range here
+  ASSERT_TRUE(ParseDouble("-nan", &v));
+  EXPECT_TRUE(std::isnan(v) && std::signbit(v));
+  ASSERT_TRUE(ParseDouble("nan", &v));
+  EXPECT_TRUE(std::isnan(v) && !std::signbit(v));
+}
+
+TEST(NumberParseTest, RejectsPartialEmptyAndOutOfRangeTokens) {
+  double d = 7.0;
+  for (const char* bad : {"1.5x", "", " 1", "1 ", "+1", "1e999", "-1e999",
+                          "1e-400", "0x10", "1;2", "abc"}) {
+    EXPECT_FALSE(ParseDouble(bad, &d)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(d, 7.0);  // untouched by a rejected token
+  std::int64_t i = 7;
+  for (const char* bad : {"", "12x", "+3", " 3", "1.0", "1e3",
+                          "9223372036854775808", "-9223372036854775809"}) {
+    EXPECT_FALSE(ParseInt(bad, &i)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(i, 7);
+  ASSERT_TRUE(ParseInt("-9223372036854775808", &i));
+  EXPECT_EQ(i, std::numeric_limits<std::int64_t>::min());
+  int small = 0;
+  EXPECT_FALSE(ParseInt("2147483648", &small));  // fits int64, not int
+  ASSERT_TRUE(ParseInt("-17", &small));
+  EXPECT_EQ(small, -17);
+  std::uint64_t span = 0;
+  ASSERT_TRUE(ParseInt("18446744073709551615", &span));
+  EXPECT_EQ(span, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_FALSE(ParseInt("-1", &span));
+}
+
 TEST(NumberFormatTest, ForecastLikeMagnitudesMatchPrintf) {
   // Utilisation percentages, IOPS and byte counts as forecasts produce them:
   // arithmetic results with full 17-digit mantissas, plus values rounded to

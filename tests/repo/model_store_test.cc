@@ -1,6 +1,9 @@
 #include "repo/model_store.h"
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -140,6 +143,48 @@ TEST(ModelRepositoryTest, CoefficientEncodingRoundTrip) {
   EXPECT_FALSE(DecodeCoefficients("0.5;abc").ok());
 }
 
+// A subnormal coefficient (std::stod rejects it: glibc reports ERANGE)
+// saves and loads back bit for bit instead of costing the row.
+TEST(ModelRepositoryTest, SubnormalCoefficientLoadsBitExactly) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  ModelRepository repo;
+  StoredModel m;
+  m.key = "cdbm011/cpu";
+  m.technique = "SARIMAX";
+  m.spec = "(1,0,1)";
+  m.ar_coef = {0.5, tiny};
+  m.ma_coef = {-tiny};
+  m.periods = {24.0};
+  m.live_mape = tiny;
+  repo.Put(m);
+  const std::string path = ::testing::TempDir() + "/models_subnormal.csv";
+  ASSERT_TRUE(repo.Save(path).ok());
+  ModelRepository loaded;
+  ModelRepository::LoadReport report;
+  ASSERT_TRUE(loaded.Load(path, &report).ok());
+  EXPECT_TRUE(report.row_errors.empty())
+      << (report.row_errors.empty() ? "" : report.row_errors[0]);
+  auto got = loaded.Get("cdbm011/cpu");
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got->ar_coef.size(), 2u);
+  EXPECT_EQ(std::memcmp(&got->ar_coef[1], &tiny, sizeof(double)), 0);
+  ASSERT_EQ(got->ma_coef.size(), 1u);
+  EXPECT_EQ(got->ma_coef[0], -tiny);
+  EXPECT_TRUE(std::signbit(got->ma_coef[0]));
+  EXPECT_EQ(got->live_mape, tiny);
+  std::remove(path.c_str());
+}
+
+TEST(ModelRepositoryTest, CoefficientDecodingIsStrict) {
+  for (const char* bad : {"0.5;", ";0.5", "0.5;;1", "0.5 ", "1.5x", "1e999"}) {
+    EXPECT_FALSE(DecodeCoefficients(bad).ok()) << "'" << bad << "'";
+  }
+  auto one = DecodeCoefficients("-0");
+  ASSERT_TRUE(one.ok());
+  ASSERT_EQ(one->size(), 1u);
+  EXPECT_TRUE(std::signbit((*one)[0]));
+}
+
 TEST(ModelRepositoryTest, LoadsLegacySixColumnFiles) {
   // Pre-coefficient files (6-column header) still load; hints stay empty.
   const std::string path = ::testing::TempDir() + "/models_legacy.csv";
@@ -191,26 +236,6 @@ TEST(ChampionChallengerTest, ExplicitGenerationIsPreservedOnReplay) {
   EXPECT_EQ(repo.Get("k")->generation, 7);
 }
 
-TEST(ChampionChallengerTest, RollbackRestoresPreviousAndClearsSlot) {
-  ModelRepository repo;
-  repo.Promote(MakeModel("k", 10.0, 100));
-  repo.Promote(MakeModel("k", 8.0, 200));
-  auto restored = repo.Rollback("k");
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->generation, 1);
-  EXPECT_DOUBLE_EQ(repo.Get("k")->test_rmse, 10.0);
-  // The discarded model is exactly what went bad — it must never be rolled
-  // back *to*; a second rollback needs a new promotion first.
-  EXPECT_FALSE(repo.HasPrevious("k"));
-  EXPECT_FALSE(repo.Rollback("k").ok());
-}
-
-TEST(ChampionChallengerTest, RollbackWithoutLineageIsNotFound) {
-  ModelRepository repo;
-  repo.Put(MakeModel("k", 10.0, 100));  // Put is lineage-neutral
-  EXPECT_FALSE(repo.Rollback("k").ok());
-}
-
 TEST(ChampionChallengerTest, ReinstateInstallsChampionAndClearsSlot) {
   ModelRepository repo;
   repo.Promote(MakeModel("k", 10.0, 100));
@@ -219,7 +244,11 @@ TEST(ChampionChallengerTest, ReinstateInstallsChampionAndClearsSlot) {
   journalled.generation = 1;
   repo.Reinstate(journalled);
   EXPECT_EQ(repo.Get("k")->generation, 1);
+  EXPECT_DOUBLE_EQ(repo.Get("k")->test_rmse, 10.0);
+  // The discarded model is exactly what went bad — it must never be rolled
+  // back *to*; a second rollback needs a new promotion first.
   EXPECT_FALSE(repo.HasPrevious("k"));
+  EXPECT_FALSE(repo.GetPrevious("k").ok());
 }
 
 TEST(ChampionChallengerTest, UpdateLiveMapeTravelsWithTheDemotedChampion) {

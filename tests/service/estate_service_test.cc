@@ -1,8 +1,11 @@
 #include "service/estate_service.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -187,10 +190,13 @@ TEST(EstateServiceTest, FailingSeriesBacksOffThenQuarantines) {
   EXPECT_EQ(service.telemetry().refits_succeeded, 1u);
   EXPECT_TRUE(service.registry().Contains(service.keys()[0]));
 
-  // Quarantined keys are out of the rotation until released.
+  // Quarantined keys are out of the rotation until released; only they
+  // can be released.
   ASSERT_TRUE(service.Tick().ok());
   ASSERT_TRUE(service.DrainRefits().ok());
   EXPECT_EQ(service.telemetry().refits_failed, 2u);
+  EXPECT_FALSE(service.ReleaseQuarantine(service.keys()[0]).ok());
+  EXPECT_FALSE(service.ReleaseQuarantine("no/such_key").ok());
   ASSERT_TRUE(service.ReleaseQuarantine(bad_key).ok());
   EXPECT_FALSE(service.IsQuarantined(bad_key));
   ASSERT_TRUE(service.Tick().ok());
@@ -358,6 +364,115 @@ TEST(EstateServiceTest, FitOkLineAndSnapshotRowBytesArePinned) {
                      "0.30000000000000004;2.5;100.5;1000000000000000;-0,"
                      "0.125;10000000000000000;52879.489999999998;"
                      "6.0221407599999999e+23;1.0000000000000001e-05,0");
+  std::filesystem::remove_all(config.state_dir);
+}
+
+std::uint64_t Bits(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// std::stod rejects subnormals (glibc reports ERANGE), so one subnormal
+// forecast value used to make Recover() fail with "bad double". The strict
+// parser reads it back bit for bit, from the journal and from the snapshot
+// row the next checkpoint writes.
+TEST(EstateServiceTest, SubnormalForecastValuesRecoverBitExactly) {
+  const auto scenario = TestScenario();
+  workload::ClusterSimulator cluster(scenario, 7);
+  auto config = FastConfig();
+  config.state_dir = FreshStateDir("subnormal");
+  config.snapshot_every_ticks = 0;
+  const std::vector<WatchConfig> watches = {{0, workload::Metric::kCpu, 80.0}};
+  const std::string key = EstateService::KeyFor(cluster, watches[0]);
+  const std::int64_t now =
+      cluster.start_epoch() + config.warmup_days * kDay + kHour;
+  {
+    std::filesystem::create_directories(config.state_dir);
+    std::ofstream journal(config.state_dir + "/journal.log");
+    journal << "v2|" << now << "|tick|0|\n"
+            << "v2|" << now << "|fit_ok|0|" << key
+            << "|HES|ETS(A,A,A)[24]|0.5|1.5|" << now << "|" << now + kHour
+            << "|3600|0.95|1;4.9406564584124654e-324;2"
+               "|0;-4.9406564584124654e-324;1|2;3;4|0|1|1|"
+            << now << "\n";
+  }
+  const auto expect_subnormals = [&](const EstateService& service) {
+    const auto view = service.View();
+    const auto* row = view->Find(key);
+    ASSERT_NE(row, nullptr);
+    ASSERT_TRUE(row->has_forecast);
+    ASSERT_EQ(row->forecast.mean.size(), 3u);
+    EXPECT_EQ(Bits(row->forecast.mean[1]), 1u);
+    EXPECT_EQ(Bits(row->forecast.lower[1]), 0x8000000000000001u);
+  };
+  {
+    EstateService recovered(&cluster, watches, config);
+    const Status st = recovered.Recover();
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    expect_subnormals(recovered);
+    ASSERT_TRUE(recovered.Checkpoint().ok());
+  }
+  std::ifstream in(config.state_dir + "/snapshot.forecasts.csv");
+  const std::string rows((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(rows.find(";-4.9406564584124654e-324;"), std::string::npos);
+
+  EstateService from_snapshot(&cluster, watches, config);
+  const Status st = from_snapshot.Recover();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  expect_subnormals(from_snapshot);
+  std::filesystem::remove_all(config.state_dir);
+}
+
+// Journal-only recovery after two promotions restores what the next refit's
+// warm start, a rollback's accuracy bar and /v1/decompose read from the
+// registry: the AR/MA coefficients and periods of both generations, and the
+// live MAPE the demoted champion was stamped with.
+TEST(EstateServiceTest, RecoveryRestoresCoefficientsPeriodsAndDemotedMape) {
+  const auto scenario = TestScenario();
+  workload::ClusterSimulator cluster(scenario, 7);
+  auto config = FastConfig();
+  config.pipeline.technique = core::Technique::kSarimax;
+  config.pipeline.max_lag = 3;
+  config.state_dir = FreshStateDir("lineage_fields");
+  config.snapshot_every_ticks = 0;
+  config.staleness.max_age_seconds = 2 * kHour;  // refit due at tick 3
+  config.staleness.rmse_degradation_factor = 1e9;
+  const std::vector<WatchConfig> watches = {{0, workload::Metric::kCpu, 95.0}};
+  const std::string key = EstateService::KeyFor(cluster, watches[0]);
+
+  repo::StoredModel champion;
+  repo::StoredModel demoted;
+  {
+    EstateService service(&cluster, watches, config);
+    ASSERT_TRUE(service.Start().ok());
+    for (int tick = 1; tick <= 3; ++tick) {
+      ASSERT_TRUE(service.Tick().ok());
+      ASSERT_TRUE(service.DrainRefits().ok());
+    }
+    ASSERT_EQ(service.telemetry().promotions, 2u);
+    champion = *service.registry().Get(key);
+    demoted = *service.registry().GetPrevious(key);
+  }
+  ASSERT_FALSE(champion.ar_coef.empty() && champion.ma_coef.empty());
+  ASSERT_FALSE(champion.periods.empty());
+  ASSERT_GE(demoted.live_mape, 0.0);
+
+  EstateService recovered(&cluster, watches, config);
+  ASSERT_TRUE(recovered.Recover().ok());
+  const auto back = recovered.registry().Get(key);
+  const auto back_demoted = recovered.registry().GetPrevious(key);
+  ASSERT_TRUE(back.ok());
+  ASSERT_TRUE(back_demoted.ok());
+  EXPECT_EQ(back->generation, champion.generation);
+  EXPECT_EQ(back->ar_coef, champion.ar_coef);
+  EXPECT_EQ(back->ma_coef, champion.ma_coef);
+  EXPECT_EQ(back->periods, champion.periods);
+  EXPECT_EQ(back_demoted->ar_coef, demoted.ar_coef);
+  EXPECT_EQ(back_demoted->ma_coef, demoted.ma_coef);
+  EXPECT_EQ(back_demoted->periods, demoted.periods);
+  EXPECT_EQ(back_demoted->live_mape, demoted.live_mape);
   std::filesystem::remove_all(config.state_dir);
 }
 

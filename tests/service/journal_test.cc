@@ -105,6 +105,27 @@ TEST(EventJournalTest, TornFinalLineIsTolerated) {
   std::remove(path.c_str());
 }
 
+// A crash can cut a line where its prefix still parses: a fit_ok cut after
+// its 11th field looks like the pre-ladder layout. Only newline-terminated
+// lines count.
+TEST(EventJournalTest, UnterminatedFinalLineIsTornEvenWhenItParses) {
+  const std::string path = TempPath("journal_torn_parses.log");
+  std::remove(path.c_str());
+  {
+    std::ofstream out(path);
+    out << JournalEvent{1, EventKind::kTick, "", {}}.Serialize() << "\n";
+    out << "v2|2|fit_ok|0|k|HES|ETS|0.5|1.5|1|2|3600|0.95|1;2|0;1|2;3";
+  }
+  ASSERT_TRUE(JournalEvent::Parse(
+                  "v2|2|fit_ok|0|k|HES|ETS|0.5|1.5|1|2|3600|0.95|1;2|0;1|2;3")
+                  .ok());
+  auto events = ReadJournal(path);
+  ASSERT_TRUE(events.ok());
+  ASSERT_EQ(events->size(), 1u);
+  EXPECT_EQ((*events)[0].kind, EventKind::kTick);
+  std::remove(path.c_str());
+}
+
 TEST(EventJournalTest, MalformedInteriorLineIsAnError) {
   const std::string path = TempPath("journal_garbage.log");
   std::remove(path.c_str());

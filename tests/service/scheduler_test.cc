@@ -8,6 +8,19 @@
 namespace capplan::service {
 namespace {
 
+// Outcomes land the way EstateService::Apply records them: the entry a
+// failure leaves (AfterFailure) or a success's next due time, via Restore.
+bool Fail(RetrainScheduler* sched, const std::string& key, std::int64_t now) {
+  const ScheduleEntry entry = sched->AfterFailure(key, now);
+  sched->Restore(entry);
+  return entry.quarantined;
+}
+
+void Succeed(RetrainScheduler* sched, const std::string& key,
+             std::int64_t next_due) {
+  sched->Restore({key, next_due});
+}
+
 TEST(RetryPolicyTest, BackoffProgressionIsExponentialAndCapped) {
   RetryPolicy policy;
   policy.initial_backoff_seconds = 100;
@@ -81,7 +94,7 @@ TEST(RetrainSchedulerTest, JitteredFailureRescheduleIsReproducible) {
     RetrainScheduler sched(policy);
     sched.ScheduleAt("a", 0);
     sched.TakeDue(0);
-    sched.OnFailure("a", 0);
+    Fail(&sched, "a", 0);
     return sched.Get("a")->due_epoch;
   };
   const std::int64_t first = run();
@@ -120,7 +133,7 @@ TEST(RetrainSchedulerTest, InFlightKeysAreNotReDispatched) {
   // Still due by time, but in flight: not returned again.
   EXPECT_TRUE(sched.TakeDue(100).empty());
   EXPECT_TRUE(sched.TakeDue(10000).empty());
-  sched.OnSuccess("a", 5000);
+  Succeed(&sched, "a", 5000);
   EXPECT_TRUE(sched.TakeDue(4999).empty());
   EXPECT_EQ(sched.TakeDue(5000).size(), 1u);
 }
@@ -148,7 +161,7 @@ TEST(RetrainSchedulerTest, PullForwardOnlyMovesEarlier) {
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0], "a");
   // The stale heap copy at 500 must not re-dispatch the key.
-  sched.OnSuccess("a", 10000);
+  Succeed(&sched, "a", 10000);
   EXPECT_TRUE(sched.TakeDue(500).empty());
 }
 
@@ -162,15 +175,15 @@ TEST(RetrainSchedulerTest, FailuresBackOffThenQuarantine) {
   sched.ScheduleAt("a", 0);
 
   ASSERT_EQ(sched.TakeDue(0).size(), 1u);
-  EXPECT_FALSE(sched.OnFailure("a", 0));
+  EXPECT_FALSE(Fail(&sched, "a", 0));
   EXPECT_EQ(sched.Get("a")->due_epoch, 10);  // 0 + initial backoff
 
   ASSERT_EQ(sched.TakeDue(10).size(), 1u);
-  EXPECT_FALSE(sched.OnFailure("a", 10));
+  EXPECT_FALSE(Fail(&sched, "a", 10));
   EXPECT_EQ(sched.Get("a")->due_epoch, 30);  // 10 + 10*2
 
   ASSERT_EQ(sched.TakeDue(30).size(), 1u);
-  EXPECT_TRUE(sched.OnFailure("a", 30));  // third failure quarantines
+  EXPECT_TRUE(Fail(&sched, "a", 30));  // third failure quarantines
   EXPECT_TRUE(sched.IsQuarantined("a"));
   EXPECT_TRUE(sched.TakeDue(1000000).empty());
   ASSERT_EQ(sched.QuarantinedKeys().size(), 1u);
@@ -183,28 +196,13 @@ TEST(RetrainSchedulerTest, SuccessResetsFailureCount) {
   RetrainScheduler sched(policy);
   sched.ScheduleAt("a", 0);
   ASSERT_EQ(sched.TakeDue(0).size(), 1u);
-  EXPECT_FALSE(sched.OnFailure("a", 0));
+  EXPECT_FALSE(Fail(&sched, "a", 0));
   ASSERT_EQ(sched.TakeDue(10).size(), 1u);
-  sched.OnSuccess("a", 20);
+  Succeed(&sched, "a", 20);
   EXPECT_EQ(sched.Get("a")->consecutive_failures, 0);
   // The reset means the next failure starts the ladder over.
   ASSERT_EQ(sched.TakeDue(20).size(), 1u);
-  EXPECT_FALSE(sched.OnFailure("a", 20));
-}
-
-TEST(RetrainSchedulerTest, ReleaseRequiresQuarantine) {
-  RetryPolicy policy;
-  policy.quarantine_after_failures = 1;
-  RetrainScheduler sched(policy);
-  sched.ScheduleAt("a", 0);
-  EXPECT_FALSE(sched.Release("a", 5).ok());       // not quarantined
-  EXPECT_FALSE(sched.Release("missing", 5).ok());  // unknown
-  ASSERT_EQ(sched.TakeDue(0).size(), 1u);
-  EXPECT_TRUE(sched.OnFailure("a", 0));
-  ASSERT_TRUE(sched.Release("a", 5).ok());
-  EXPECT_FALSE(sched.IsQuarantined("a"));
-  EXPECT_EQ(sched.Get("a")->consecutive_failures, 0);
-  EXPECT_EQ(sched.TakeDue(5).size(), 1u);
+  EXPECT_FALSE(Fail(&sched, "a", 20));
 }
 
 TEST(RetrainSchedulerTest, DeferPreservesFailureCount) {
@@ -214,7 +212,7 @@ TEST(RetrainSchedulerTest, DeferPreservesFailureCount) {
   RetrainScheduler sched(policy);
   sched.ScheduleAt("a", 0);
   ASSERT_EQ(sched.TakeDue(0).size(), 1u);
-  EXPECT_FALSE(sched.OnFailure("a", 0));
+  EXPECT_FALSE(Fail(&sched, "a", 0));
   ASSERT_EQ(sched.TakeDue(10).size(), 1u);
   sched.Defer("a", 50);
   EXPECT_EQ(sched.Get("a")->consecutive_failures, 1);
@@ -229,7 +227,7 @@ TEST(RetrainSchedulerTest, SaveLoadRoundTrip) {
   sched.ScheduleAt("healthy", 700);
   sched.ScheduleAt("failing", 0);
   ASSERT_EQ(sched.TakeDue(0).size(), 1u);
-  EXPECT_TRUE(sched.OnFailure("failing", 0));
+  EXPECT_TRUE(Fail(&sched, "failing", 0));
 
   const std::string path = ::testing::TempDir() + "/sched_roundtrip.csv";
   ASSERT_TRUE(sched.Save(path).ok());
