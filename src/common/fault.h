@@ -27,8 +27,9 @@ namespace capplan {
 //   journal.append      EventJournal::Append fails before writing
 //   journal.torn        EventJournal::Append writes a partial line (torn
 //                       tail, as a crash mid-append would leave) and fails
-//   csv.write           repo::WriteCsv fails before creating the file
-//                       (snapshots, registry, schedule, alert tables)
+//   csv.write           repo::WriteCsvRecords (under WriteCsv) fails
+//                       before creating the file (snapshots, registry,
+//                       schedule, alert tables)
 //   csv.write_series    repo::WriteSeriesCsv fails (repository SaveAll)
 //   model_store.save    ModelRepository::Save fails
 //   agent.collect       MonitoringAgent::Collect fails outright

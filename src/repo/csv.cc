@@ -15,15 +15,17 @@ bool NeedsQuoting(const std::string& field) {
   return field.find_first_of(",\"\n") != std::string::npos;
 }
 
-std::string QuoteField(const std::string& field) {
-  if (!NeedsQuoting(field)) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += '"';
-    out += c;
+void AppendField(std::string* out, const std::string& field) {
+  if (!NeedsQuoting(field)) {
+    out->append(field);
+    return;
   }
-  out += '"';
-  return out;
+  out->push_back('"');
+  for (char c : field) {
+    if (c == '"') out->push_back('"');
+    out->push_back(c);
+  }
+  out->push_back('"');
 }
 
 // Splits one CSV record (already newline-free except inside quotes is not
@@ -68,21 +70,25 @@ std::string FormatDouble(double v) {
 
 }  // namespace
 
-Status WriteCsv(const std::string& path, const CsvTable& table) {
+void AppendCsvRecord(std::string* out,
+                     const std::vector<std::string>& fields) {
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (i) out->push_back(',');
+    AppendField(out, fields[i]);
+  }
+  out->push_back('\n');
+}
+
+Status WriteCsvRecords(const std::string& path,
+                       const std::vector<std::string_view>& records) {
   CAPPLAN_RETURN_NOT_OK(FaultHit("csv.write"));
-  std::ofstream out(path, std::ios::trunc);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     return Status::IoError("WriteCsv: cannot open " + path);
   }
-  auto write_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i) out << ',';
-      out << QuoteField(row[i]);
-    }
-    out << '\n';
-  };
-  if (!table.header.empty()) write_row(table.header);
-  for (const auto& row : table.rows) write_row(row);
+  for (std::string_view record : records) {
+    out.write(record.data(), static_cast<std::streamsize>(record.size()));
+  }
   out.flush();
   if (!out) {
     return Status::IoError("WriteCsv: write failed for " + path);
@@ -90,12 +96,20 @@ Status WriteCsv(const std::string& path, const CsvTable& table) {
   return Status::OK();
 }
 
-Result<CsvTable> ReadCsv(const std::string& path) {
+Status WriteCsv(const std::string& path, const CsvTable& table) {
+  std::string body;
+  if (!table.header.empty()) AppendCsvRecord(&body, table.header);
+  for (const auto& row : table.rows) AppendCsvRecord(&body, row);
+  return WriteCsvRecords(path, {body});
+}
+
+Status ScanCsv(const std::string& path, std::vector<std::string>* header,
+               const std::function<Status(std::vector<std::string>&& row)>&
+                   on_row) {
   std::ifstream in(path);
   if (!in) {
     return Status::IoError("ReadCsv: cannot open " + path);
   }
-  CsvTable table;
   std::string line;
   bool first = true;
   while (std::getline(in, line)) {
@@ -103,12 +117,22 @@ Result<CsvTable> ReadCsv(const std::string& path) {
     if (line.empty()) continue;
     if (line[0] == '#') continue;  // comment lines handled by callers
     if (first) {
-      table.header = SplitRecord(line);
+      *header = SplitRecord(line);
       first = false;
     } else {
-      table.rows.push_back(SplitRecord(line));
+      CAPPLAN_RETURN_NOT_OK(on_row(SplitRecord(line)));
     }
   }
+  return Status::OK();
+}
+
+Result<CsvTable> ReadCsv(const std::string& path) {
+  CsvTable table;
+  CAPPLAN_RETURN_NOT_OK(
+      ScanCsv(path, &table.header, [&](std::vector<std::string>&& row) {
+        table.rows.push_back(std::move(row));
+        return Status::OK();
+      }));
   return table;
 }
 
@@ -121,7 +145,9 @@ Status WriteSeriesCsv(const std::string& path,
   }
   // Integers go through std::to_string: the stream would group their
   // digits the way the global C++ locale says.
-  out << "# " << QuoteField(series.name()) << ","
+  std::string name = "# ";
+  AppendField(&name, series.name());
+  out << name << ","
       << std::to_string(series.start_epoch()) << ","
       << std::to_string(static_cast<int>(series.frequency())) << "\n";
   out << "epoch,value\n";

@@ -1,7 +1,9 @@
 #ifndef CAPPLAN_REPO_CSV_H_
 #define CAPPLAN_REPO_CSV_H_
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -17,11 +19,27 @@ struct CsvTable {
   std::vector<std::vector<std::string>> rows;
 };
 
-// Writes `table` to `path`, overwriting. Fields containing commas, quotes
-// or newlines are quoted.
+// Appends one record as WriteCsv writes it: the fields joined by commas,
+// each quoted when it holds a comma, quote or newline, then '\n'.
+void AppendCsvRecord(std::string* out, const std::vector<std::string>& fields);
+
+// Writes records already encoded by AppendCsvRecord to `path`, overwriting,
+// in order. Fault site "csv.write", once per file.
+Status WriteCsvRecords(const std::string& path,
+                       const std::vector<std::string_view>& records);
+
+// Writes `table` to `path`, overwriting: the header (when not empty), then
+// every row, each encoded by AppendCsvRecord.
 Status WriteCsv(const std::string& path, const CsvTable& table);
 
-// Reads a CSV written by WriteCsv (handles quoted fields).
+// Reads a CSV written by WriteCsv (handles quoted fields) one record at a
+// time: the first record fills `*header`, and `on_row` gets each later one
+// as it is read. Returns the first error `on_row` returns.
+Status ScanCsv(const std::string& path, std::vector<std::string>* header,
+               const std::function<Status(std::vector<std::string>&& row)>&
+                   on_row);
+
+// ScanCsv into a table.
 Result<CsvTable> ReadCsv(const std::string& path);
 
 // TimeSeries round-trip: columns epoch,value plus metadata in the header

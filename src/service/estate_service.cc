@@ -5,6 +5,8 @@
 #include <cmath>
 #include <filesystem>
 #include <optional>
+#include <string_view>
+#include <utility>
 
 #include "common/fault.h"
 #include "common/number_format.h"
@@ -1184,15 +1186,19 @@ Status EstateService::WriteSnapshot() {
   CAPPLAN_RETURN_NOT_OK(RetrainScheduler::SaveEntries(
       dir + "/snapshot.schedule.csv", ScheduleEntries()));
 
-  repo::CsvTable forecasts;
-  forecasts.header = {"key",   "spec",  "start_epoch", "step_seconds",
-                      "level", "mean",  "lower",       "upper",
-                      "degradation"};
+  std::string header;
+  repo::AppendCsvRecord(&header, {"key", "spec", "start_epoch",
+                                  "step_seconds", "level", "mean", "lower",
+                                  "upper", "degradation"});
+  std::vector<std::string_view> records = {header};
+  records.reserve(forecasts_.size() + 1);
   for (const auto& [key, fc] : forecasts_) {
-    forecasts.rows.push_back(EncodeForecastRow(key, fc));
+    std::string& row = forecast_rows_[key];
+    if (row.empty()) repo::AppendCsvRecord(&row, EncodeForecastRow(key, fc));
+    records.push_back(row);
   }
   CAPPLAN_RETURN_NOT_OK(
-      repo::WriteCsv(dir + "/snapshot.forecasts.csv", forecasts));
+      repo::WriteCsvRecords(dir + "/snapshot.forecasts.csv", records));
 
   repo::CsvTable alerts;
   alerts.header = {"key", "upper_only", "predicted_breach_epoch",
@@ -1295,7 +1301,7 @@ void EstateService::Apply(const Event& event) {
       } else {
         registry_.Put(fit.model);  // pre-lineage layouts
       }
-      forecasts_[key] = fit.forecast;
+      InstallForecast(key, fit.forecast);
       scheduler.Restore(
           {key, fit.model.fitted_at_epoch + config_.staleness.max_age_seconds});
       return;
@@ -1349,7 +1355,7 @@ void EstateService::Apply(const Event& event) {
         model.periods = slot->periods;
       }
       registry_.Reinstate(model);
-      forecasts_[key] = rollback.forecast;
+      InstallForecast(key, rollback.forecast);
       previous_forecasts_.erase(key);
       // Only the due time moves: failures, quarantine and an outstanding
       // refit stay as they are.
@@ -1357,6 +1363,12 @@ void EstateService::Apply(const Event& event) {
       return;
     }
   }
+}
+
+void EstateService::InstallForecast(const std::string& key,
+                                    CachedForecast forecast) {
+  forecasts_[key] = std::move(forecast);
+  forecast_rows_.erase(key);
 }
 
 Status EstateService::RecoverShardHistory(EstateShard* shard) {
@@ -1406,12 +1418,16 @@ Status EstateService::LoadSnapshot() {
   for (auto& entry : schedule) {
     ShardForKey(entry.key).scheduler.Restore(std::move(entry));
   }
-  CAPPLAN_ASSIGN_OR_RETURN(repo::CsvTable forecasts,
-                           repo::ReadCsv(dir + "/snapshot.forecasts.csv"));
-  for (const auto& row : forecasts.rows) {
-    CAPPLAN_ASSIGN_OR_RETURN(auto keyed, DecodeForecastRow(row));
-    forecasts_[keyed.first] = std::move(keyed.second);
-  }
+  // Rows are decoded as they are read. Their text is not kept as the
+  // key's snapshot row: a legacy row is written back in today's layout.
+  std::vector<std::string> header;
+  CAPPLAN_RETURN_NOT_OK(repo::ScanCsv(
+      dir + "/snapshot.forecasts.csv", &header,
+      [this](std::vector<std::string>&& row) -> Status {
+        CAPPLAN_ASSIGN_OR_RETURN(auto keyed, DecodeForecastRow(row));
+        InstallForecast(keyed.first, std::move(keyed.second));
+        return Status::OK();
+      }));
   CAPPLAN_ASSIGN_OR_RETURN(repo::CsvTable alerts,
                            repo::ReadCsv(dir + "/snapshot.alerts.csv"));
   for (const auto& row : alerts.rows) {
@@ -1449,19 +1465,28 @@ Status EstateService::Recover() {
   if (config_.state_dir.empty()) {
     return Status::FailedPrecondition("service: no state_dir to recover from");
   }
-  CAPPLAN_ASSIGN_OR_RETURN(std::vector<JournalEvent> events,
-                           ReadJournal(JournalPath()));
-  if (events.empty()) {
+  // One pass over the journal parses every line but keeps only the suffix
+  // after the last snapshot marker: the lines before it are in the
+  // snapshot.
+  std::vector<JournalEvent> suffix;
+  bool from_snapshot = false;
+  CAPPLAN_ASSIGN_OR_RETURN(
+      const std::uint64_t journalled,
+      ScanJournal(JournalPath(), [&](JournalEvent&& line) {
+        if (line.kind == EventKind::kSnapshot) {
+          from_snapshot = true;
+          suffix.clear();
+        } else {
+          suffix.push_back(std::move(line));
+        }
+      }));
+  if (journalled == 0) {
     return Status::NotFound("service: nothing to recover in " +
                             config_.state_dir);
   }
 
   // Baseline: the last snapshot, or the fresh post-warmup state.
-  std::size_t replay_from = 0;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (events[i].kind == EventKind::kSnapshot) replay_from = i + 1;
-  }
-  if (replay_from > 0) {
+  if (from_snapshot) {
     CAPPLAN_RETURN_NOT_OK(LoadSnapshot());
   } else {
     now_ = cluster_->start_epoch() +
@@ -1471,14 +1496,14 @@ Status EstateService::Recover() {
   }
 
   // The suffix goes through the reducer the live path runs.
-  for (std::size_t i = replay_from; i < events.size(); ++i) {
-    CAPPLAN_ASSIGN_OR_RETURN(const Event event, DecodeEvent(events[i]));
+  for (const JournalEvent& line : suffix) {
+    CAPPLAN_ASSIGN_OR_RETURN(const Event event, DecodeEvent(line));
     Apply(event);
   }
   // The sequence counter resumes at the journal's true length, so wide
   // events emitted after recovery keep pointing at absolute positions in
   // the (re-opened, append-only) journal file.
-  journal_seq_ = events.size();
+  journal_seq_ = journalled;
 
   // Keys that never reached a journaled outcome fall back to their initial
   // schedule (the snapshot carries them otherwise). Keys that were sitting

@@ -472,8 +472,13 @@ class EstateService {
   // state machine and exports the state gauges.
   void EvaluateHealth();
   void PublishView();
+  // Writes the snapshot files. Only keys without an encoded row (their
+  // forecast changed since the last snapshot) are encoded afresh.
   Status WriteSnapshot();
   Status LoadSnapshot();
+  // Installs the key's served forecast and drops its encoded snapshot row.
+  // The only writer of forecasts_.
+  void InstallForecast(const std::string& key, CachedForecast forecast);
   // Journals `event` (stamped with the calling thread's trace span when it
   // has none) and applies it, even when the append fails; returns the
   // append's status. Every journalled live transition goes through it.
@@ -516,6 +521,10 @@ class EstateService {
   std::uint64_t journal_seq_ = 0;
 
   std::map<std::string, CachedForecast> forecasts_;
+  // Each forecast's snapshot.forecasts.csv record (repo::AppendCsvRecord of
+  // EncodeForecastRow), encoded by the first snapshot after the forecast
+  // was installed and reused until the next install drops it.
+  std::map<std::string, std::string> forecast_rows_;
   // Rollback targets: the forecast each key's previous champion was serving
   // when the current champion displaced it. Entries exist only for keys
   // whose registry lineage also holds a previous generation, so a rollback

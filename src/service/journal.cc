@@ -1,5 +1,9 @@
 #include "service/journal.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cerrno>
 #include <cstddef>
 #include <cstring>
@@ -104,66 +108,110 @@ Result<JournalEvent> JournalEvent::Parse(const std::string& line) {
 EventJournal::~EventJournal() { Close(); }
 
 EventJournal::EventJournal(EventJournal&& other) noexcept
-    : path_(std::move(other.path_)), file_(other.file_) {
-  other.file_ = nullptr;
+    : path_(std::move(other.path_)),
+      fd_(other.fd_),
+      whole_bytes_(other.whole_bytes_),
+      torn_(other.torn_) {
+  other.fd_ = -1;
 }
 
 EventJournal& EventJournal::operator=(EventJournal&& other) noexcept {
   if (this != &other) {
     Close();
     path_ = std::move(other.path_);
-    file_ = other.file_;
-    other.file_ = nullptr;
+    fd_ = other.fd_;
+    whole_bytes_ = other.whole_bytes_;
+    torn_ = other.torn_;
+    other.fd_ = -1;
   }
   return *this;
 }
 
 Result<EventJournal> EventJournal::Open(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
+  if (fd < 0) {
     return Status::IoError("journal: cannot open " + path + ": " +
                            std::strerror(errno));
   }
   EventJournal journal;
   journal.path_ = path;
-  journal.file_ = f;
+  journal.fd_ = fd;
+  // The last whole line ends at the file's last newline. Anything after it
+  // is the torn tail of a crashed append, which ReadJournal skipped and the
+  // first Append cuts off.
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const auto size =
+      static_cast<std::uint64_t>(std::max<std::streamoff>(in.tellg(), 0));
+  std::string block;
+  std::uint64_t end = size;
+  while (end > 0) {
+    const std::uint64_t n = std::min<std::uint64_t>(end, 4096);
+    block.resize(n);
+    in.seekg(static_cast<std::streamoff>(end - n));
+    if (!in.read(block.data(), static_cast<std::streamsize>(n))) {
+      return Status::IoError("journal: cannot read " + path);
+    }
+    if (const auto nl = block.rfind('\n'); nl != std::string::npos) {
+      end -= n - nl - 1;
+      break;
+    }
+    end -= n;
+  }
+  journal.whole_bytes_ = end;
+  journal.torn_ = end != size;
   return journal;
 }
 
 Status EventJournal::Append(const JournalEvent& event) {
-  if (file_ == nullptr) {
+  if (fd_ < 0) {
     return Status::FailedPrecondition("journal: not open");
+  }
+  if (torn_) {
+    if (::ftruncate(fd_, static_cast<off_t>(whole_bytes_)) != 0) {
+      return Status::IoError("journal: cannot truncate torn tail of " +
+                             path_ + ": " + std::strerror(errno));
+    }
+    torn_ = false;
   }
   CAPPLAN_RETURN_NOT_OK(FaultHit("journal.append"));
   const std::string line = event.Serialize() + "\n";
-  if (FaultFires("journal.torn")) {
-    // A crash mid-append: a prefix of the line reaches the disk with no
-    // newline, and the caller sees the write fail. ReadJournal must treat
-    // the torn tail as absent.
-    std::fwrite(line.data(), 1, line.size() / 2, file_);
-    std::fflush(file_);
+  // A crash mid-append (fault "journal.torn"): a prefix of the line reaches
+  // the disk with no newline, and the caller sees the write fail.
+  // ReadJournal treats the torn tail as absent.
+  const bool tear = FaultFires("journal.torn");
+  const std::size_t want = tear ? line.size() / 2 : line.size();
+  std::size_t written = 0;
+  while (written < want) {
+    const ssize_t n = ::write(fd_, line.data() + written, want - written);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      torn_ = true;
+      return Status::IoError("journal: short write to " + path_ + ": " +
+                             std::strerror(errno));
+    }
+    written += static_cast<std::size_t>(n);
+  }
+  if (tear) {
+    torn_ = true;
     return Status::IoError("journal: torn write to " + path_);
   }
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
-    return Status::IoError("journal: short write to " + path_);
-  }
-  if (std::fflush(file_) != 0) {
-    return Status::IoError("journal: flush failed for " + path_);
-  }
+  whole_bytes_ += line.size();
   return Status::OK();
 }
 
 void EventJournal::Close() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
   }
 }
 
-Result<std::vector<JournalEvent>> ReadJournal(const std::string& path) {
+Result<std::uint64_t> ScanJournal(
+    const std::string& path,
+    const std::function<void(JournalEvent&& event)>& on_event) {
   std::ifstream in(path);
-  std::vector<JournalEvent> events;
-  if (!in.is_open()) return events;  // no journal yet: nothing to replay
+  std::uint64_t count = 0;
+  if (!in.is_open()) return count;  // no journal yet: nothing to replay
   std::string line;
   bool saw_garbage = false;
   while (std::getline(in, line)) {
@@ -182,8 +230,17 @@ Result<std::vector<JournalEvent>> ReadJournal(const std::string& path) {
     if (saw_garbage) {
       return Status::IoError("journal: malformed interior line in " + path);
     }
-    events.push_back(std::move(*event));
+    ++count;
+    on_event(std::move(*event));
   }
+  return count;
+}
+
+Result<std::vector<JournalEvent>> ReadJournal(const std::string& path) {
+  std::vector<JournalEvent> events;
+  CAPPLAN_RETURN_NOT_OK(ScanJournal(path, [&](JournalEvent&& event) {
+                          events.push_back(std::move(event));
+                        }).status());
   return events;
 }
 

@@ -2,7 +2,7 @@
 #define CAPPLAN_SERVICE_JOURNAL_H_
 
 #include <cstdint>
-#include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -68,8 +68,12 @@ struct JournalEvent {
   static Result<JournalEvent> Parse(const std::string& line);
 };
 
-// The append side. Writes are flushed per event so that at most the final,
-// torn line is lost on a crash.
+// The append side. Each event is one write(2) of its whole line, so at most
+// the final, torn line is lost on a crash. The journal remembers where its
+// last whole line ends: after a failed or torn write it truncates the file
+// back to there before the next append, so the next line starts on a line
+// boundary instead of continuing the torn bytes. Open does the same for a
+// torn tail a crash left behind.
 class EventJournal {
  public:
   EventJournal() = default;
@@ -83,19 +87,29 @@ class EventJournal {
   // Opens `path` for appending, creating it if absent.
   static Result<EventJournal> Open(const std::string& path);
 
+  // Fails, writing nothing, when a torn tail cannot be truncated away.
   Status Append(const JournalEvent& event);
-  bool is_open() const { return file_ != nullptr; }
+  bool is_open() const { return fd_ >= 0; }
   const std::string& path() const { return path_; }
   void Close();
 
  private:
   std::string path_;
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;
+  std::uint64_t whole_bytes_ = 0;  // file length up to the last whole line
+  bool torn_ = false;              // bytes past whole_bytes_ may exist
 };
 
-// Reads every well-formed event from `path`. A torn final line (crash during
-// append: no terminating newline) is skipped even when its prefix parses; a
-// missing file yields an empty vector.
+// Reads `path` in one pass and calls `on_event` with every well-formed
+// event, in order; returns how many there were. A torn final line (crash
+// during append: no terminating newline) is skipped even when its prefix
+// parses; a malformed line followed by a well-formed one is an error; a
+// missing file holds no events.
+Result<std::uint64_t> ScanJournal(
+    const std::string& path,
+    const std::function<void(JournalEvent&& event)>& on_event);
+
+// ScanJournal into a vector.
 Result<std::vector<JournalEvent>> ReadJournal(const std::string& path);
 
 }  // namespace capplan::service

@@ -102,21 +102,6 @@ std::string EncodeMeta(std::uint8_t kind, tsa::Frequency freq,
   return meta;
 }
 
-void AppendRecord(std::string* out, const std::string& meta,
-                  const std::string& payload,
-                  std::vector<std::pair<std::uint64_t, std::uint32_t>>* index) {
-  const std::uint64_t offset = out->size();
-  PutU32(out, kRecordMagic);
-  PutU32(out, static_cast<std::uint32_t>(meta.size()));
-  out->append(meta);
-  PutU32(out, Crc32(meta.data(), meta.size()));
-  PutU32(out, static_cast<std::uint32_t>(payload.size()));
-  out->append(payload);
-  PutU32(out, Crc32(payload.data(), payload.size()));
-  index->push_back(
-      {offset, static_cast<std::uint32_t>(out->size() - offset)});
-}
-
 struct ParsedRecord {
   std::uint8_t kind = 0;
   tsa::Frequency freq = tsa::Frequency::kHourly;
@@ -126,7 +111,8 @@ struct ParsedRecord {
   std::uint32_t count = 0;
   const std::uint8_t* payload = nullptr;
   std::uint32_t payload_len = 0;
-  bool payload_ok = false;  // payload CRC verdict
+  std::uint32_t payload_crc = 0;  // as stored
+  bool payload_ok = false;        // payload CRC verdict
 };
 
 enum class RecordParse { kOk, kTorn, kBadMeta };
@@ -182,55 +168,72 @@ RecordParse ParseRecord(ByteReader* r, ParsedRecord* rec) {
   rec->key.assign(reinterpret_cast<const char*>(key), key_len);
   rec->payload = payload;
   rec->payload_len = payload_len;
+  rec->payload_crc = payload_crc;
   rec->payload_ok = Crc32(payload, payload_len) == payload_crc;
   return RecordParse::kOk;
 }
 
 }  // namespace
 
-Status WriteSegmentFile(const std::string& path,
-                        const std::vector<SegmentSeries>& series) {
-  std::string out;
-  PutU32(&out, kHeaderMagic);
-  PutU16(&out, kVersion);
-  PutU16(&out, 0);  // flags
+SegmentWriter::SegmentWriter() {
+  PutU32(&out_, kHeaderMagic);
+  PutU16(&out_, kVersion);
+  PutU16(&out_, 0);  // flags
+}
 
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> index;
-  for (const SegmentSeries& s : series) {
-    for (const SealedBlock& b : s.blocks) {
-      if (b.quarantined) continue;  // placeholders do not persist
-      std::string payload(b.payload.begin(), b.payload.end());
-      AppendRecord(&out,
-                   EncodeMeta(kKindSealed, s.freq, s.key, b.start_epoch,
-                              b.step_seconds, b.count),
-                   payload, &index);
-    }
-    std::string hot_payload;
-    hot_payload.reserve(s.hot.size() * 8);
-    for (double v : s.hot) {
-      std::uint64_t bits;
-      std::memcpy(&bits, &v, sizeof bits);
-      PutU64(&hot_payload, bits);
-    }
-    AppendRecord(&out,
-                 EncodeMeta(kKindHot, s.freq, s.key, s.hot_start_epoch,
-                            tsa::FrequencySeconds(s.freq),
-                            static_cast<std::uint32_t>(s.hot.size())),
-                 hot_payload, &index);
+void SegmentWriter::AddRecord(const std::string& meta, const void* payload,
+                              std::size_t payload_len,
+                              std::uint32_t payload_crc) {
+  const std::uint64_t offset = out_.size();
+  PutU32(&out_, kRecordMagic);
+  PutU32(&out_, static_cast<std::uint32_t>(meta.size()));
+  out_.append(meta);
+  PutU32(&out_, Crc32(meta.data(), meta.size()));
+  PutU32(&out_, static_cast<std::uint32_t>(payload_len));
+  out_.append(static_cast<const char*>(payload), payload_len);
+  PutU32(&out_, payload_crc);
+  index_.push_back(
+      {offset, static_cast<std::uint32_t>(out_.size() - offset)});
+}
+
+void SegmentWriter::AddSealed(const std::string& key, tsa::Frequency freq,
+                              const SealedBlock& block) {
+  if (block.quarantined) return;
+  AddRecord(EncodeMeta(kKindSealed, freq, key, block.start_epoch,
+                       block.step_seconds, block.count),
+            block.payload.data(), block.payload.size(), block.crc);
+}
+
+void SegmentWriter::AddHot(const std::string& key, tsa::Frequency freq,
+                           std::int64_t start_epoch,
+                           const std::vector<double>& hot) {
+  std::string payload;
+  payload.reserve(hot.size() * 8);
+  for (double v : hot) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    PutU64(&payload, bits);
   }
+  AddRecord(EncodeMeta(kKindHot, freq, key, start_epoch,
+                       tsa::FrequencySeconds(freq),
+                       static_cast<std::uint32_t>(hot.size())),
+            payload.data(), payload.size(),
+            Crc32(payload.data(), payload.size()));
+}
 
-  const std::uint64_t index_offset = out.size();
-  PutU32(&out, kIndexMagic);
-  PutU32(&out, static_cast<std::uint32_t>(index.size()));
+Status SegmentWriter::Finish(const std::string& path) {
+  const std::uint64_t index_offset = out_.size();
+  PutU32(&out_, kIndexMagic);
+  PutU32(&out_, static_cast<std::uint32_t>(index_.size()));
   std::string entries;
-  for (const auto& [offset, len] : index) {
+  for (const auto& [offset, len] : index_) {
     PutU64(&entries, offset);
     PutU32(&entries, len);
   }
-  out.append(entries);
-  PutU32(&out, Crc32(entries.data(), entries.size()));
-  PutU64(&out, index_offset);
-  PutU32(&out, kTrailerMagic);
+  out_.append(entries);
+  PutU32(&out_, Crc32(entries.data(), entries.size()));
+  PutU64(&out_, index_offset);
+  PutU32(&out_, kTrailerMagic);
 
   const std::string tmp = path + ".tmp";
   {
@@ -238,7 +241,7 @@ Status WriteSegmentFile(const std::string& path,
     if (!f.is_open()) {
       return Status::IoError("store: cannot open " + tmp + " for writing");
     }
-    f.write(out.data(), static_cast<std::streamsize>(out.size()));
+    f.write(out_.data(), static_cast<std::streamsize>(out_.size()));
     if (!f.good()) return Status::IoError("store: short write to " + tmp);
   }
   std::error_code ec;
@@ -248,6 +251,16 @@ Status WriteSegmentFile(const std::string& path,
                            ec.message());
   }
   return Status::OK();
+}
+
+Status WriteSegmentFile(const std::string& path,
+                        const std::vector<SegmentSeries>& series) {
+  SegmentWriter writer;
+  for (const SegmentSeries& s : series) {
+    for (const SealedBlock& b : s.blocks) writer.AddSealed(s.key, s.freq, b);
+    writer.AddHot(s.key, s.freq, s.hot_start_epoch, s.hot);
+  }
+  return writer.Finish(path);
 }
 
 Result<std::vector<SegmentSeries>> ReadSegmentFile(const std::string& path,
@@ -343,7 +356,7 @@ Result<std::vector<SegmentSeries>> ReadSegmentFile(const std::string& path,
       block.count = rec.count;
       if (rec.payload_ok) {
         block.payload.assign(rec.payload, rec.payload + rec.payload_len);
-        block.crc = Crc32(block.payload.data(), block.payload.size());
+        block.crc = rec.payload_crc;  // verified by ParseRecord
       } else {
         block.quarantined = true;
         ++report->blocks_quarantined;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -60,7 +61,33 @@ struct SegmentOpenReport {
   std::uint64_t truncated_at = 0;  // file offset of the torn tail, if any
 };
 
-// Writes the segment atomically (tmp file + rename).
+// Builds one segment file record by record, straight from the caller's
+// blocks, and writes it atomically (tmp file + rename) on Finish. A sealed
+// record carries its block's own CRC, computed at seal and verified at
+// reopen, so a payload damaged in memory since then reopens quarantined.
+class SegmentWriter {
+ public:
+  SegmentWriter();
+
+  // One sealed block of `key`; quarantined placeholders do not persist.
+  void AddSealed(const std::string& key, tsa::Frequency freq,
+                 const SealedBlock& block);
+  // The hot tail of `key`, starting at `start_epoch`.
+  void AddHot(const std::string& key, tsa::Frequency freq,
+              std::int64_t start_epoch, const std::vector<double>& hot);
+  // Appends the index footer and writes the file.
+  Status Finish(const std::string& path);
+
+ private:
+  void AddRecord(const std::string& meta, const void* payload,
+                 std::size_t payload_len, std::uint32_t payload_crc);
+
+  std::string out_;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> index_;
+};
+
+// Writes `series` (blocks, then the hot tail, per series) with
+// SegmentWriter.
 Status WriteSegmentFile(const std::string& path,
                         const std::vector<SegmentSeries>& series);
 

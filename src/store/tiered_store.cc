@@ -127,26 +127,28 @@ Status TieredStore::Flush(const std::string& path) const {
   obs::TraceSpan span("store.flush", "store");
   CAPPLAN_RETURN_NOT_OK(FaultHit("store.flush"));
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<SegmentSeries> out;
-  out.reserve(series_.size());
+  // Sealed records go out straight from the live blocks, with the CRC each
+  // block got at seal; only the hot tail is copied out of its ring.
+  SegmentWriter writer;
+  std::vector<double> hot;
   for (const auto& [key, s] : series_) {
-    SegmentSeries entry;
-    entry.key = key;
-    entry.freq = s.frequency();
-    entry.blocks = s.blocks();
-    entry.hot_start_epoch =
-        s.end_epoch() -
-        static_cast<std::int64_t>(s.hot_size()) * s.step_seconds();
-    entry.hot.reserve(s.hot_size());
+    for (const SealedBlock& b : s.blocks()) {
+      writer.AddSealed(key, s.frequency(), b);
+    }
+    hot.clear();
     SeriesStore::Cursor cursor = s.Scan(s.size() - s.hot_size());
     double v = 0.0;
-    while (cursor.Next(&v)) entry.hot.push_back(v);
-    if (entry.hot.size() != s.hot_size()) {
+    while (cursor.Next(&v)) hot.push_back(v);
+    if (hot.size() != s.hot_size()) {
       return Status::Internal("store: hot cursor ended early on flush");
     }
-    out.push_back(std::move(entry));
+    writer.AddHot(key, s.frequency(),
+                  s.end_epoch() -
+                      static_cast<std::int64_t>(s.hot_size()) *
+                          s.step_seconds(),
+                  hot);
   }
-  CAPPLAN_RETURN_NOT_OK(WriteSegmentFile(path, out));
+  CAPPLAN_RETURN_NOT_OK(writer.Finish(path));
   const double flush_ms = std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
@@ -159,7 +161,7 @@ Status TieredStore::Flush(const std::string& path) const {
     ev.span_id = span.id();
     ev.dur_ns = static_cast<std::uint64_t>(flush_ms * 1e6);
     ev.start_ns = events.NowNs() > ev.dur_ns ? events.NowNs() - ev.dur_ns : 0;
-    ev.AddAttr("series", static_cast<double>(out.size()));
+    ev.AddAttr("series", static_cast<double>(series_.size()));
     events.Emit(ev);
   }
   return Status::OK();

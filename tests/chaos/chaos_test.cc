@@ -243,6 +243,41 @@ TEST_F(ChaosTest, TornJournalTailReplaysCleanlyWithoutDuplicateAlerts) {
   std::filesystem::remove_all(config.state_dir);
 }
 
+// One torn append and the journal keeps going: the appender cuts the torn
+// bytes off before its next line, so recovery reads every later event and
+// loses only the torn one (here a tick line).
+TEST_F(ChaosTest, TornAppendDoesNotBreakLaterRecovery) {
+  const auto scenario = TestScenario();
+  workload::ClusterSimulator cluster(scenario, 7);
+  auto config = FastConfig();
+  config.state_dir = FreshStateDir("torn_once");
+  config.snapshot_every_ticks = 0;  // journal-only recovery
+  const std::vector<WatchConfig> watches = {{0, workload::Metric::kCpu, 95.0}};
+
+  std::int64_t live_now = 0;
+  std::uint64_t live_ticks = 0;
+  {
+    EstateService service(&cluster, watches, config);
+    ASSERT_TRUE(service.Start().ok());
+    ASSERT_TRUE(service.Tick().ok());
+    ASSERT_TRUE(service.DrainRefits().ok());
+    FaultInjector::Global().Arm("journal.torn", FaultPlan::FailN(1));
+    ASSERT_TRUE(service.Tick().ok());  // its tick line tears
+    ASSERT_TRUE(service.Tick().ok());
+    EXPECT_EQ(service.telemetry().journal_write_failures, 1u);
+    live_now = service.now();
+    live_ticks = service.tick_count();
+  }
+  FaultInjector::Global().Reset();
+
+  EstateService recovered(&cluster, watches, config);
+  const Status st = recovered.Recover();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(recovered.now(), live_now);
+  EXPECT_EQ(recovered.tick_count(), live_ticks - 1);
+  std::filesystem::remove_all(config.state_dir);
+}
+
 TEST_F(ChaosTest, DegradedForecastFlaggedAndSurvivesRecovery) {
   const auto scenario = TestScenario();
   workload::ClusterSimulator cluster(scenario, 7);

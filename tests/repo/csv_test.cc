@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -35,6 +36,44 @@ TEST(CsvTest, QuotedFieldsRoundTrip) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->rows[0][0], "has,comma");
   EXPECT_EQ(back->rows[0][1], "has\"quote");
+}
+
+TEST(CsvTest, EncodedRecordsWriteWhatWriteCsvWrites) {
+  CsvTable t;
+  t.header = {"name", "value"};
+  t.rows = {{"has,comma", "has\"quote"}, {"plain", "also plain"}};
+  const std::string table_path = TempPath("table.csv");
+  ASSERT_TRUE(WriteCsv(table_path, t).ok());
+  std::string header, rows;
+  AppendCsvRecord(&header, t.header);
+  for (const auto& row : t.rows) AppendCsvRecord(&rows, row);
+  EXPECT_EQ(rows, "\"has,comma\",\"has\"\"quote\"\nplain,also plain\n");
+  const std::string records_path = TempPath("records.csv");
+  ASSERT_TRUE(WriteCsvRecords(records_path, {header, rows}).ok());
+  auto table = ReadCsv(table_path);
+  auto records = ReadCsv(records_path);
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(records.ok());
+  EXPECT_EQ(records->header, table->header);
+  EXPECT_EQ(records->rows, table->rows);
+}
+
+TEST(CsvTest, ScanStopsAtTheFirstRowError) {
+  CsvTable t;
+  t.header = {"a"};
+  t.rows = {{"1"}, {"bad"}, {"3"}};
+  const std::string path = TempPath("scan.csv");
+  ASSERT_TRUE(WriteCsv(path, t).ok());
+  std::vector<std::string> header;
+  std::vector<std::string> seen;
+  const Status st =
+      ScanCsv(path, &header, [&](std::vector<std::string>&& row) {
+        seen.push_back(row[0]);
+        return row[0] == "bad" ? Status::IoError("bad row") : Status::OK();
+      });
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(header, t.header);
+  EXPECT_EQ(seen, (std::vector<std::string>{"1", "bad"}));
 }
 
 TEST(CsvTest, ReadMissingFileFails) {

@@ -1,10 +1,14 @@
 #include "service/journal.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/fault.h"
 
 namespace capplan::service {
 namespace {
@@ -123,6 +127,35 @@ TEST(EventJournalTest, UnterminatedFinalLineIsTornEvenWhenItParses) {
   ASSERT_TRUE(events.ok());
   ASSERT_EQ(events->size(), 1u);
   EXPECT_EQ((*events)[0].kind, EventKind::kTick);
+  std::remove(path.c_str());
+}
+
+// The appender starts each line on a line boundary: it cuts off a torn
+// tail, whether a crash left it before Open or a failed write after.
+TEST(EventJournalTest, AppendCutsOffATornTail) {
+  const std::string path = TempPath("journal_cut_torn.log");
+  std::remove(path.c_str());
+  {
+    std::ofstream out(path);
+    out << JournalEvent{1, EventKind::kTick, "", {}}.Serialize() << "\n";
+    out << "v2|2|ti";  // crash mid-append
+  }
+  {
+    auto journal = EventJournal::Open(path);
+    ASSERT_TRUE(journal.ok());
+    ASSERT_TRUE(journal->Append({3, EventKind::kTick, "", {}}).ok());
+    {
+      ScopedFault torn("journal.torn", FaultPlan::FailN(1));
+      EXPECT_FALSE(journal->Append({4, EventKind::kTick, "", {}}).ok());
+    }
+    ASSERT_TRUE(journal->Append({5, EventKind::kTick, "", {}}).ok());
+  }
+  std::vector<std::int64_t> epochs;
+  auto count = ScanJournal(
+      path, [&](JournalEvent&& event) { epochs.push_back(event.epoch); });
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(*count, 3u);
+  EXPECT_EQ(epochs, (std::vector<std::int64_t>{1, 3, 5}));
   std::remove(path.c_str());
 }
 

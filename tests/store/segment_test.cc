@@ -194,6 +194,32 @@ TEST(SegmentTest, CorruptPayloadQuarantinesOnlyThatBlock) {
   EXPECT_EQ(a.hot.size(), 3u);
 }
 
+// A write carries each sealed block's CRC from its seal instead of
+// re-CRCing the payload, and a reopen keeps the CRC it verified: bytes
+// damaged in memory after the seal reopen quarantined, not as valid data.
+TEST(SegmentTest, SealedCrcIsCarriedNotRecomputed) {
+  std::vector<SegmentSeries> fixture = Fixture();
+  std::vector<std::uint8_t>& payload = fixture[0].blocks[1].payload;
+  ASSERT_FALSE(payload.empty());
+  payload[payload.size() / 2] ^= 0x5A;
+  const std::string path = TempPath("carried_crc.capseg");
+  ASSERT_TRUE(WriteSegmentFile(path, fixture).ok());
+
+  SegmentOpenReport report;
+  auto loaded = ReadSegmentFile(path, &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(report.blocks_quarantined, 1u);
+  const SegmentSeries& a = (*loaded)[0];
+  ASSERT_EQ(a.blocks.size(), 2u);
+  EXPECT_FALSE(a.blocks[0].quarantined);
+  EXPECT_EQ(a.blocks[0].crc, fixture[0].blocks[0].crc);
+  EXPECT_TRUE(a.blocks[1].quarantined);
+  auto nans = DecodeBlockValues(a.blocks[1]);
+  ASSERT_TRUE(nans.ok());
+  ASSERT_EQ(nans->size(), 32u);
+  for (double v : *nans) EXPECT_TRUE(std::isnan(v));
+}
+
 TEST(SegmentTest, QuarantinedPlaceholdersDoNotPersist) {
   std::vector<double> run(16, 2.0);
   SegmentSeries s;
