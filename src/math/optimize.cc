@@ -1,6 +1,8 @@
 #include "math/optimize.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <random>
@@ -9,11 +11,36 @@ namespace capplan::math {
 
 namespace {
 
-double SafeEval(const Objective& f, const std::vector<double>& x) {
-  const double v = f(x);
-  if (std::isnan(v)) return std::numeric_limits<double>::infinity();
-  return v;
-}
+std::atomic<int> sequential_scopes{0};
+
+// How the simplex evaluates its points. A batched evaluator takes the start
+// simplex, each shrink and each iteration's four trial points in one call;
+// an unbatched one takes one point per call, and only the trial points the
+// iteration's comparisons reach. NaN comes back as +inf either way.
+struct Evaluator {
+  const BatchObjective& f;
+  bool batched;
+
+  void operator()(std::span<const std::vector<double>> points,
+                  std::span<double> values) const {
+    if (batched) {
+      f(points, values);
+    } else {
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        f(points.subspan(i, 1), values.subspan(i, 1));
+      }
+    }
+    for (double& v : values) {
+      if (std::isnan(v)) v = std::numeric_limits<double>::infinity();
+    }
+  }
+
+  double operator()(const std::vector<double>& x) const {
+    double v = 0.0;
+    (*this)(std::span(&x, 1), std::span(&v, 1));
+    return v;
+  }
+};
 
 struct SimplexResult {
   std::vector<double> x;
@@ -22,7 +49,7 @@ struct SimplexResult {
   bool converged;
 };
 
-SimplexResult RunSimplex(const Objective& f, const std::vector<double>& x0,
+SimplexResult RunSimplex(const Evaluator& eval, const std::vector<double>& x0,
                          const NelderMeadOptions& opt, int budget) {
   const std::size_t n = x0.size();
   // Standard coefficients.
@@ -46,7 +73,17 @@ SimplexResult RunSimplex(const Objective& f, const std::vector<double>& x0,
     ++seeded;
   }
   std::vector<double> fv(n + 1);
-  for (std::size_t i = 0; i <= n; ++i) fv[i] = SafeEval(f, pts[i]);
+  eval(pts, fv);
+
+  // An iteration's trial points, in batch order, as multiples of the step
+  // from the worst vertex through the centroid of the others.
+  enum Trial { kReflect, kExpand, kOutside, kInside };
+  const double coef[4] = {alpha, alpha * gamma, alpha * rho, -rho};
+  std::vector<std::vector<double>> trial(4, std::vector<double>(n));
+  std::array<double, 4> tv{};
+  std::vector<std::vector<double>> shrunk(n, std::vector<double>(n));
+  std::vector<double> shrunk_fv(n);
+  std::vector<double> centroid(n);
 
   int iter = 0;
   bool converged = false;
@@ -80,65 +117,61 @@ SimplexResult RunSimplex(const Objective& f, const std::vector<double>& x0,
     }
 
     // Centroid excluding the worst vertex.
-    std::vector<double> centroid(n, 0.0);
+    std::fill(centroid.begin(), centroid.end(), 0.0);
     for (std::size_t i = 0; i <= n; ++i) {
       if (i == worst) continue;
       for (std::size_t d = 0; d < n; ++d) centroid[d] += pts[i][d];
     }
     for (double& c : centroid) c /= static_cast<double>(n);
 
-    auto blend = [&](double coef) {
-      std::vector<double> x(n);
+    for (std::size_t k = 0; k < 4; ++k) {
       for (std::size_t d = 0; d < n; ++d) {
-        x[d] = centroid[d] + coef * (centroid[d] - pts[worst][d]);
+        trial[k][d] = centroid[d] + coef[k] * (centroid[d] - pts[worst][d]);
       }
-      return x;
+    }
+    if (eval.batched) eval(trial, tv);
+    auto value = [&](Trial k) {
+      if (!eval.batched) tv[k] = eval(trial[k]);
+      return tv[k];
+    };
+    auto accept = [&](Trial k) {
+      pts[worst].swap(trial[k]);
+      fv[worst] = tv[k];
     };
 
-    const std::vector<double> xr = blend(alpha);
-    const double fr = SafeEval(f, xr);
+    const double fr = value(kReflect);
     if (fr < fv[best]) {
-      const std::vector<double> xe = blend(alpha * gamma);
-      const double fe = SafeEval(f, xe);
-      if (fe < fr) {
-        pts[worst] = xe;
-        fv[worst] = fe;
-      } else {
-        pts[worst] = xr;
-        fv[worst] = fr;
-      }
+      accept(value(kExpand) < fr ? kExpand : kReflect);
       continue;
     }
     if (fr < fv[second_worst]) {
-      pts[worst] = xr;
-      fv[worst] = fr;
+      accept(kReflect);
       continue;
     }
     // Contraction (outside if the reflected point improved on the worst).
     if (fr < fv[worst]) {
-      const std::vector<double> xc = blend(alpha * rho);
-      const double fc = SafeEval(f, xc);
-      if (fc <= fr) {
-        pts[worst] = xc;
-        fv[worst] = fc;
+      if (value(kOutside) <= fr) {
+        accept(kOutside);
         continue;
       }
-    } else {
-      const std::vector<double> xc = blend(-rho);
-      const double fc = SafeEval(f, xc);
-      if (fc < fv[worst]) {
-        pts[worst] = xc;
-        fv[worst] = fc;
-        continue;
-      }
+    } else if (value(kInside) < fv[worst]) {
+      accept(kInside);
+      continue;
     }
-    // Shrink toward the best vertex.
-    for (std::size_t i = 0; i <= n; ++i) {
+    // Shrink toward the best vertex: the n moved vertices are one batch.
+    for (std::size_t i = 0, j = 0; i <= n; ++i) {
       if (i == best) continue;
       for (std::size_t d = 0; d < n; ++d) {
-        pts[i][d] = pts[best][d] + sigma * (pts[i][d] - pts[best][d]);
+        shrunk[j][d] = pts[best][d] + sigma * (pts[i][d] - pts[best][d]);
       }
-      fv[i] = SafeEval(f, pts[i]);
+      ++j;
+    }
+    eval(shrunk, shrunk_fv);
+    for (std::size_t i = 0, j = 0; i <= n; ++i) {
+      if (i == best) continue;
+      pts[i].swap(shrunk[j]);
+      fv[i] = shrunk_fv[j];
+      ++j;
     }
   }
 
@@ -149,28 +182,25 @@ SimplexResult RunSimplex(const Objective& f, const std::vector<double>& x0,
   return {pts[best], fv[best], iter, converged};
 }
 
-}  // namespace
-
-Result<OptimizeOutcome> NelderMead(const Objective& objective,
-                                   const std::vector<double>& x0,
-                                   const NelderMeadOptions& options) {
+Result<OptimizeOutcome> Minimize(const Evaluator& eval,
+                                 const std::vector<double>& x0,
+                                 const NelderMeadOptions& options) {
   if (x0.empty()) {
     return Status::InvalidArgument("NelderMead: empty start point");
   }
-  if (!std::isfinite(SafeEval(objective, x0))) {
+  if (!std::isfinite(eval(x0))) {
     return Status::InvalidArgument(
         "NelderMead: objective not finite at start point");
   }
-  SimplexResult best =
-      RunSimplex(objective, x0, options, options.max_iterations);
+  SimplexResult best = RunSimplex(eval, x0, options, options.max_iterations);
   std::mt19937 rng(options.seed);
   std::normal_distribution<double> jitter(0.0, options.initial_step);
   for (int r = 0; r < options.restarts; ++r) {
     std::vector<double> start = best.x;
     for (double& v : start) v += jitter(rng);
-    if (!std::isfinite(SafeEval(objective, start))) continue;
+    if (!std::isfinite(eval(start))) continue;
     SimplexResult attempt =
-        RunSimplex(objective, start, options, options.max_iterations);
+        RunSimplex(eval, start, options, options.max_iterations);
     attempt.iterations += best.iterations;
     if (attempt.fx < best.fx) {
       best = attempt;
@@ -184,6 +214,33 @@ Result<OptimizeOutcome> NelderMead(const Objective& objective,
   out.iterations = best.iterations;
   out.converged = best.converged;
   return out;
+}
+
+}  // namespace
+
+Result<OptimizeOutcome> NelderMead(const Objective& objective,
+                                   const std::vector<double>& x0,
+                                   const NelderMeadOptions& options) {
+  const BatchObjective one_point = [&](std::span<const std::vector<double>> x,
+                                       std::span<double> fx) {
+    fx[0] = objective(x[0]);
+  };
+  return Minimize({one_point, false}, x0, options);
+}
+
+Result<OptimizeOutcome> NelderMead(const BatchObjective& objective,
+                                   const std::vector<double>& x0,
+                                   const NelderMeadOptions& options) {
+  const bool batched = sequential_scopes.load(std::memory_order_relaxed) == 0;
+  return Minimize({objective, batched}, x0, options);
+}
+
+ScopedSequentialNelderMead::ScopedSequentialNelderMead() {
+  sequential_scopes.fetch_add(1, std::memory_order_relaxed);
+}
+
+ScopedSequentialNelderMead::~ScopedSequentialNelderMead() {
+  sequential_scopes.fetch_sub(1, std::memory_order_relaxed);
 }
 
 double GoldenSectionMinimize(const std::function<double(double)>& f,

@@ -1,7 +1,11 @@
 #ifndef CAPPLAN_MATH_OPTIMIZE_H_
 #define CAPPLAN_MATH_OPTIMIZE_H_
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -11,6 +15,13 @@ namespace capplan::math {
 // Objective mapping a parameter vector to a scalar cost. Implementations may
 // return +inf (or NaN, treated as +inf) for infeasible points.
 using Objective = std::function<double(const std::vector<double>&)>;
+
+// Objective over a batch of parameter vectors: writes the cost of points[i]
+// to values[i] (values.size() == points.size()), under the same +inf/NaN
+// conventions. Lets a model evaluate several trial points in one pass over
+// its data.
+using BatchObjective = std::function<void(
+    std::span<const std::vector<double>> points, std::span<double> values)>;
 
 struct NelderMeadOptions {
   int max_iterations = 2000;
@@ -52,6 +63,51 @@ struct OptimizeOutcome {
 Result<OptimizeOutcome> NelderMead(const Objective& objective,
                                    const std::vector<double>& x0,
                                    const NelderMeadOptions& options = {});
+
+// The same search over a batch objective. The start simplex and each shrink
+// go out as one batch; each iteration sends its reflection, expansion and
+// both contraction points as one batch, then makes the scalar overload's
+// comparisons, in its order, on those values. It therefore accepts the same
+// points and returns the same outcome, bit for bit, as the scalar overload
+// given the same function; only the number of evaluations differs (the
+// scalar overload evaluates just the trial points its comparisons reach).
+Result<OptimizeOutcome> NelderMead(const BatchObjective& objective,
+                                   const std::vector<double>& x0,
+                                   const NelderMeadOptions& options = {});
+
+// Evaluates a batch with a kernel that runs kLanes parameter sets per pass:
+// each group of kLanes sets goes to `lanes` (std::array<Set, kLanes> ->
+// std::array<double, kLanes>), a lone set to `one` (Set -> double). A short
+// group fills its spare lanes with its own sets again (lane k runs set k mod
+// count) and reads each set's value from the last lane that ran it, so every
+// lane's result is used.
+template <std::size_t kLanes, typename Set, typename One, typename Lanes>
+void EvaluateInLanes(std::span<const Set> sets, std::span<double> values,
+                     One one, Lanes lanes) {
+  for (std::size_t i = 0; i < sets.size(); i += kLanes) {
+    const std::size_t count = std::min(kLanes, sets.size() - i);
+    if (count == 1) {
+      values[i] = one(sets[i]);
+      continue;
+    }
+    std::array<Set, kLanes> group;
+    for (std::size_t k = 0; k < kLanes; ++k) group[k] = sets[i + k % count];
+    const std::array<double, kLanes> out = lanes(group);
+    for (std::size_t k = 0; k < kLanes; ++k) values[i + k % count] = out[k];
+  }
+}
+
+// Test seam: while an instance is alive, the batch overload evaluates one
+// point per call, and only the points the scalar overload would evaluate, so
+// a test can fit through both paths and compare the bits.
+class ScopedSequentialNelderMead {
+ public:
+  ScopedSequentialNelderMead();
+  ~ScopedSequentialNelderMead();
+  ScopedSequentialNelderMead(const ScopedSequentialNelderMead&) = delete;
+  ScopedSequentialNelderMead& operator=(const ScopedSequentialNelderMead&) =
+      delete;
+};
 
 // Minimizes a 1-D function on [lo, hi] by golden-section search.
 double GoldenSectionMinimize(const std::function<double(double)>& f,

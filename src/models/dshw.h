@@ -2,12 +2,22 @@
 #define CAPPLAN_MODELS_DSHW_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
 #include "models/model.h"
 
 namespace capplan::models {
+
+// Smoothing parameters of one double-seasonal recursion.
+struct DshwParams {
+  double alpha = 0.1;
+  double beta = 0.01;
+  double gamma1 = 0.1;
+  double gamma2 = 0.1;
+  double phi = 0.0;  // AR(1) residual coefficient
+};
 
 // Double-seasonal Holt-Winters (Taylor 2003): additive exponential
 // smoothing with two interacting seasonal cycles (e.g. the daily 24-hour
@@ -44,6 +54,16 @@ class DshwModel {
     return Fit(y, period1, period2, Options());
   }
 
+  // Fit's objective: the one-step SSE of `y` after the first long period,
+  // under each parameter set, from the initial states Fit starts from; +inf
+  // where the recursion diverges (an error that is non-finite or above 1e12
+  // in magnitude). Sets run four at a time through a 4-lane kernel, a lone
+  // set through the one-lane pass Fit ends with; either way a set gets the
+  // bits the one-lane pass gives it. Same input checks as Fit.
+  static Result<std::vector<double>> SumSquaredErrors(
+      const std::vector<double>& y, std::size_t period1, std::size_t period2,
+      std::span<const DshwParams> params);
+
   Result<Forecast> Predict(std::size_t horizon, double level = 0.95) const;
 
   const FitSummary& summary() const { return summary_; }
@@ -56,19 +76,13 @@ class DshwModel {
   std::size_t period2() const { return period2_; }
 
  private:
-  // Runs the recursion; returns SSE (inf on divergence) and optionally the
-  // final states.
+  // What the recursion leaves behind for Predict.
   struct FinalState {
     double level = 0.0;
     double trend = 0.0;
     std::vector<double> s1, s2;
     double last_error = 0.0;
   };
-  static double RunRecursion(const std::vector<double>& y,
-                             std::size_t period1, std::size_t period2,
-                             double alpha, double beta, double gamma1,
-                             double gamma2, double phi, FinalState* final);
-
   std::size_t period1_ = 24, period2_ = 168;
   double alpha_ = 0.1, beta_ = 0.01, gamma1_ = 0.1, gamma2_ = 0.1,
          phi_ = 0.0;

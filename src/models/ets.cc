@@ -1,6 +1,7 @@
 #include "models/ets.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <random>
@@ -76,10 +77,15 @@ namespace {
 
 // Heuristic initial states (Hyndman & Athanasopoulos): level/trend from the
 // first periods, seasonal indices from per-phase averages of the first two
-// periods.
-void InitialStates(const std::vector<double>& y, const EtsSpec& spec,
-                   double* level, double* trend,
-                   std::vector<double>* seasonal) {
+// periods. They depend on the data only, so a fit computes them once.
+struct EtsStart {
+  double level = 0.0;
+  double trend = 0.0;
+  std::vector<double> seasonal;  // phase-indexed; empty without a season
+};
+
+EtsStart InitialStates(const std::vector<double>& y, const EtsSpec& spec) {
+  EtsStart start;
   const std::size_t n = y.size();
   const std::size_t m = spec.seasonal != EtsSeasonal::kNone ? spec.period : 0;
   if (m >= 2 && n >= 2 * m) {
@@ -88,37 +94,38 @@ void InitialStates(const std::vector<double>& y, const EtsSpec& spec,
     for (std::size_t i = m; i < 2 * m; ++i) mean2 += y[i];
     mean1 /= static_cast<double>(m);
     mean2 /= static_cast<double>(m);
-    *level = mean1;
-    *trend = (mean2 - mean1) / static_cast<double>(m);
-    seasonal->assign(m, 0.0);
+    start.level = mean1;
+    start.trend = (mean2 - mean1) / static_cast<double>(m);
+    std::vector<double>& seasonal = start.seasonal;
+    seasonal.assign(m, 0.0);
     for (std::size_t i = 0; i < m; ++i) {
       const double base1 = mean1;
       const double base2 = mean2;
       if (spec.seasonal == EtsSeasonal::kAdditive) {
-        (*seasonal)[i] = 0.5 * ((y[i] - base1) + (y[i + m] - base2));
+        seasonal[i] = 0.5 * ((y[i] - base1) + (y[i + m] - base2));
       } else {
         const double r1 = base1 > 0.0 ? y[i] / base1 : 1.0;
         const double r2 = base2 > 0.0 ? y[i + m] / base2 : 1.0;
-        (*seasonal)[i] = 0.5 * (r1 + r2);
+        seasonal[i] = 0.5 * (r1 + r2);
       }
     }
     // Normalize indices.
     if (spec.seasonal == EtsSeasonal::kAdditive) {
-      const double mu = math::Mean(*seasonal);
-      for (double& s : *seasonal) s -= mu;
+      const double mu = math::Mean(seasonal);
+      for (double& s : seasonal) s -= mu;
     } else {
-      const double mu = math::Mean(*seasonal);
+      const double mu = math::Mean(seasonal);
       if (mu > 0.0) {
-        for (double& s : *seasonal) s /= mu;
+        for (double& s : seasonal) s /= mu;
       }
     }
   } else {
-    *level = y[0];
+    start.level = y[0];
     const std::size_t k = std::min<std::size_t>(n - 1, 8);
-    *trend = k > 0 ? (y[k] - y[0]) / static_cast<double>(k) : 0.0;
-    seasonal->clear();
+    start.trend = k > 0 ? (y[k] - y[0]) / static_cast<double>(k) : 0.0;
   }
-  if (spec.trend == EtsTrend::kNone) *trend = 0.0;
+  if (spec.trend == EtsTrend::kNone) start.trend = 0.0;
+  return start;
 }
 
 // Logistic map onto (lo, hi).
@@ -130,76 +137,180 @@ double Unsquash(double v, double lo, double hi) {
   return std::log(f / (1.0 - f));
 }
 
-}  // namespace
+constexpr std::size_t kLanes = 4;
 
-double EtsModel::RunRecursion(const std::vector<double>& y,
-                              const EtsSpec& spec, double alpha, double beta,
-                              double gamma, double phi, double* final_level,
-                              double* final_trend,
-                              std::vector<double>* final_seasonal,
-                              std::vector<double>* fitted,
-                              std::vector<double>* residuals) {
+template <std::size_t L>
+struct EtsLaneOut {
+  std::array<double, L> sse;  // +inf where the recursion diverged
+  std::array<double, L> level;
+  std::array<double, L> trend;
+};
+
+// The smoothing recursion (error-correction form), run for L parameter sets
+// side by side in one pass over y so their dependency chains overlap. Each
+// lane runs the operations of the one-lane pass in the same order, so its
+// SSE has the same bits; a lane that diverges reads +inf and leaves the
+// others alone. `seas` holds the lanes' seasonal states interleaved (phase
+// p, lane k at p * L + k) and keeps the final ones. The one-lane pass also
+// records fitted values and residuals when asked.
+template <EtsTrend kTrend, EtsSeasonal kSeasonal, std::size_t L>
+EtsLaneOut<L> RunLanes(const std::vector<double>& y, const EtsStart& start,
+                       const std::array<EtsParams, L>& params, double* seas,
+                       std::vector<double>* fitted,
+                       std::vector<double>* residuals) {
+  constexpr bool kHasTrend = kTrend != EtsTrend::kNone;
+  constexpr bool kHasSeasonal = kSeasonal != EtsSeasonal::kNone;
+  constexpr bool kMult = kSeasonal == EtsSeasonal::kMultiplicative;
+  const std::size_t m = start.seasonal.size();
+  double alpha[L] = {}, beta[L] = {}, gamma[L] = {}, damp[L] = {};
+  double level[L] = {}, trend[L] = {}, sse[L] = {};
+  bool dead[L] = {};
+  for (std::size_t k = 0; k < L; ++k) {
+    alpha[k] = params[k].alpha;
+    beta[k] = params[k].beta;
+    gamma[k] = params[k].gamma;
+    damp[k] = kTrend == EtsTrend::kAdditiveDamped ? params[k].phi : 1.0;
+    level[k] = start.level;
+    trend[k] = start.trend;
+  }
+  if constexpr (kHasSeasonal) {
+    for (std::size_t p = 0; p < m; ++p) {
+      for (std::size_t k = 0; k < L; ++k) seas[p * L + k] = start.seasonal[p];
+    }
+  }
+
   const std::size_t n = y.size();
-  const bool has_trend = spec.trend != EtsTrend::kNone;
-  const bool damped = spec.trend == EtsTrend::kAdditiveDamped;
-  const bool has_seasonal = spec.seasonal != EtsSeasonal::kNone;
-  const bool mult = spec.seasonal == EtsSeasonal::kMultiplicative;
-  const std::size_t m = has_seasonal ? spec.period : 0;
-  const double damp = damped ? phi : 1.0;
-
-  double level, trend;
-  std::vector<double> seas;
-  InitialStates(y, spec, &level, &trend, &seas);
-  if (has_seasonal && seas.empty()) {
-    return std::numeric_limits<double>::infinity();
-  }
-
-  if (fitted) fitted->assign(n, 0.0);
-  if (residuals) residuals->assign(n, 0.0);
-  double sse = 0.0;
+  std::size_t phase = 0;
   for (std::size_t t = 0; t < n; ++t) {
-    const double base = level + (has_trend ? damp * trend : 0.0);
-    double s_t = 1.0;
-    if (has_seasonal) s_t = seas[t % m];
-    const double yhat = has_seasonal ? (mult ? base * s_t : base + s_t) : base;
-    const double e = y[t] - yhat;
-    if (fitted) (*fitted)[t] = yhat;
-    if (residuals) (*residuals)[t] = e;
-    sse += e * e;
-
-    // State update (error-correction form).
-    double adj = e;
-    if (has_seasonal && mult) {
-      if (std::fabs(s_t) < 1e-9) return std::numeric_limits<double>::infinity();
-      adj = e / s_t;
-    }
-    const double new_level = base + alpha * adj;
-    if (has_trend) trend = damp * trend + beta * adj;
-    if (has_seasonal) {
-      double s_adj;
-      if (mult) {
-        if (std::fabs(base) < 1e-9) {
-          return std::numeric_limits<double>::infinity();
-        }
-        s_adj = gamma * e / base;
-      } else {
-        s_adj = gamma * e;
+    const double yt = y[t];
+    bool all_dead = true;
+#pragma GCC unroll 4
+    for (std::size_t k = 0; k < L; ++k) {
+      const double base = level[k] + (kHasTrend ? damp[k] * trend[k] : 0.0);
+      double s_t = 1.0;
+      if constexpr (kHasSeasonal) s_t = seas[phase * L + k];
+      const double yhat =
+          kHasSeasonal ? (kMult ? base * s_t : base + s_t) : base;
+      const double e = yt - yhat;
+      if constexpr (L == 1) {
+        if (fitted) (*fitted)[t] = yhat;
+        if (residuals) (*residuals)[t] = e;
       }
-      seas[t % m] = s_t + s_adj;
+      sse[k] += e * e;
+
+      double adj = e;
+      if constexpr (kMult) {
+        dead[k] = dead[k] || std::fabs(s_t) < 1e-9;
+        adj = e / s_t;
+      }
+      const double new_level = base + alpha[k] * adj;
+      if constexpr (kHasTrend) trend[k] = damp[k] * trend[k] + beta[k] * adj;
+      if constexpr (kHasSeasonal) {
+        double s_adj;
+        if constexpr (kMult) {
+          dead[k] = dead[k] || std::fabs(base) < 1e-9;
+          s_adj = gamma[k] * e / base;
+        } else {
+          s_adj = gamma[k] * e;
+        }
+        seas[phase * L + k] = s_t + s_adj;
+      }
+      level[k] = new_level;
+      dead[k] = dead[k] || !std::isfinite(level[k]) ||
+                (kHasTrend && !std::isfinite(trend[k]));
+      all_dead = all_dead && dead[k];
     }
-    level = new_level;
-    if (!std::isfinite(level) || !std::isfinite(trend)) {
-      return std::numeric_limits<double>::infinity();
-    }
+    if (all_dead) break;
+    if (kHasSeasonal && ++phase == m) phase = 0;
   }
-  if (final_level) *final_level = level;
-  if (final_trend) *final_trend = trend;
-  if (final_seasonal) *final_seasonal = seas;
-  return sse;
+
+  EtsLaneOut<L> out{};
+  for (std::size_t k = 0; k < L; ++k) {
+    out.sse[k] = dead[k] ? std::numeric_limits<double>::infinity() : sse[k];
+    out.level[k] = level[k];
+    out.trend[k] = trend[k];
+  }
+  return out;
 }
 
-Result<EtsModel> EtsModel::Fit(const std::vector<double>& y,
-                               const EtsSpec& spec, const Options& options) {
+template <std::size_t L>
+using EtsKernel = EtsLaneOut<L> (*)(const std::vector<double>&,
+                                    const EtsStart&,
+                                    const std::array<EtsParams, L>&, double*,
+                                    std::vector<double>*,
+                                    std::vector<double>*);
+
+// The kernel instance for a spec's form, indexed [trend][seasonal] in enum
+// order.
+template <std::size_t L>
+EtsKernel<L> SelectKernel(const EtsSpec& spec) {
+  using T = EtsTrend;
+  using S = EtsSeasonal;
+  static constexpr EtsKernel<L> kByForm[3][3] = {
+      {&RunLanes<T::kNone, S::kNone, L>, &RunLanes<T::kNone, S::kAdditive, L>,
+       &RunLanes<T::kNone, S::kMultiplicative, L>},
+      {&RunLanes<T::kAdditive, S::kNone, L>,
+       &RunLanes<T::kAdditive, S::kAdditive, L>,
+       &RunLanes<T::kAdditive, S::kMultiplicative, L>},
+      {&RunLanes<T::kAdditiveDamped, S::kNone, L>,
+       &RunLanes<T::kAdditiveDamped, S::kAdditive, L>,
+       &RunLanes<T::kAdditiveDamped, S::kMultiplicative, L>},
+  };
+  return kByForm[static_cast<int>(spec.trend)][static_cast<int>(spec.seasonal)];
+}
+
+// The SSE objective of one fit: the series' initial states and the lanes'
+// seasonal work buffers, computed and allocated once per fit.
+class EtsObjective {
+ public:
+  EtsObjective(const std::vector<double>& y, const EtsSpec& spec)
+      : y_(y),
+        start_(InitialStates(y, spec)),
+        run1_(SelectKernel<1>(spec)),
+        run_lanes_(SelectKernel<kLanes>(spec)),
+        seas_(start_.seasonal.size() * kLanes) {}
+
+  // Writes the SSE of params[i] to sse[i].
+  void operator()(std::span<const EtsParams> params, std::span<double> sse) {
+    math::EvaluateInLanes<kLanes>(
+        params, sse,
+        [&](const EtsParams& p) {
+          return run1_(y_, start_, {p}, seas_.data(), nullptr, nullptr).sse[0];
+        },
+        [&](const std::array<EtsParams, kLanes>& lanes) {
+          return run_lanes_(y_, start_, lanes, seas_.data(), nullptr, nullptr)
+              .sse;
+        });
+  }
+
+  // The one-lane pass that also records the fit: final states, fitted values
+  // and residuals (states only when the recursion converged).
+  double Record(const EtsParams& params, double* level, double* trend,
+                std::vector<double>* seasonal, std::vector<double>* fitted,
+                std::vector<double>* residuals) {
+    fitted->assign(y_.size(), 0.0);
+    residuals->assign(y_.size(), 0.0);
+    const auto out =
+        run1_(y_, start_, {params}, seas_.data(), fitted, residuals);
+    if (std::isfinite(out.sse[0])) {
+      *level = out.level[0];
+      *trend = out.trend[0];
+      seasonal->assign(seas_.begin(),
+                       seas_.begin() + static_cast<std::ptrdiff_t>(
+                                           start_.seasonal.size()));
+    }
+    return out.sse[0];
+  }
+
+ private:
+  const std::vector<double>& y_;
+  EtsStart start_;
+  EtsKernel<1> run1_;
+  EtsKernel<kLanes> run_lanes_;
+  std::vector<double> seas_;
+};
+
+Status CheckFitInput(const std::vector<double>& y, const EtsSpec& spec) {
   if (!spec.IsValid()) {
     return Status::InvalidArgument("EtsModel: invalid spec");
   }
@@ -209,35 +320,55 @@ Result<EtsModel> EtsModel::Fit(const std::vector<double>& y,
     return Status::InvalidArgument("EtsModel: series too short for spec " +
                                    spec.ToString());
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::vector<double>> EtsModel::SumSquaredErrors(
+    const std::vector<double>& y, const EtsSpec& spec,
+    std::span<const EtsParams> params) {
+  CAPPLAN_RETURN_NOT_OK(CheckFitInput(y, spec));
+  std::vector<double> sse(params.size());
+  EtsObjective(y, spec)(params, sse);
+  return sse;
+}
+
+Result<EtsModel> EtsModel::Fit(const std::vector<double>& y,
+                               const EtsSpec& spec, const Options& options) {
+  CAPPLAN_RETURN_NOT_OK(CheckFitInput(y, spec));
   EtsModel m;
   m.spec_ = spec;
-  double alpha = options.alpha, beta = options.beta, gamma = options.gamma,
-         phi = options.phi;
+  EtsParams params{options.alpha, options.beta, options.gamma, options.phi};
 
   const bool has_trend = spec.trend != EtsTrend::kNone;
   const bool damped = spec.trend == EtsTrend::kAdditiveDamped;
   const bool has_seasonal = spec.seasonal != EtsSeasonal::kNone;
+  EtsObjective sse_of(y, spec);
 
   if (options.optimize) {
     // Unconstrained parameterization via logistic squashing.
     std::vector<double> x0;
-    x0.push_back(Unsquash(alpha, 0.01, 0.99));
-    if (has_trend) x0.push_back(Unsquash(beta, 0.001, 0.99));
-    if (has_seasonal) x0.push_back(Unsquash(gamma, 0.001, 0.99));
-    if (damped) x0.push_back(Unsquash(phi, 0.8, 0.995));
-    auto decode = [&](const std::vector<double>& x, double* a, double* b,
-                      double* g, double* p) {
+    x0.push_back(Unsquash(params.alpha, 0.01, 0.99));
+    if (has_trend) x0.push_back(Unsquash(params.beta, 0.001, 0.99));
+    if (has_seasonal) x0.push_back(Unsquash(params.gamma, 0.001, 0.99));
+    if (damped) x0.push_back(Unsquash(params.phi, 0.8, 0.995));
+    auto decode = [&](const std::vector<double>& x) {
+      EtsParams p;
       std::size_t i = 0;
-      *a = Squash(x[i++], 0.01, 0.99);
-      *b = has_trend ? Squash(x[i++], 0.001, 0.99) * (*a) : 0.0;
-      *g = has_seasonal ? Squash(x[i++], 0.001, 0.99) * (1.0 - *a) : 0.0;
-      *p = damped ? Squash(x[i++], 0.8, 0.995) : 1.0;
+      p.alpha = Squash(x[i++], 0.01, 0.99);
+      p.beta = has_trend ? Squash(x[i++], 0.001, 0.99) * p.alpha : 0.0;
+      p.gamma =
+          has_seasonal ? Squash(x[i++], 0.001, 0.99) * (1.0 - p.alpha) : 0.0;
+      p.phi = damped ? Squash(x[i++], 0.8, 0.995) : 1.0;
+      return p;
     };
-    math::Objective obj = [&](const std::vector<double>& x) {
-      double a, b, g, p;
-      decode(x, &a, &b, &g, &p);
-      return RunRecursion(y, spec, a, b, g, p, nullptr, nullptr, nullptr,
-                          nullptr, nullptr);
+    std::vector<EtsParams> sets;
+    math::BatchObjective obj = [&](std::span<const std::vector<double>> xs,
+                                   std::span<double> values) {
+      sets.clear();
+      for (const auto& x : xs) sets.push_back(decode(x));
+      sse_of(sets, values);
     };
     math::NelderMeadOptions nm;
     nm.max_iterations = 800;
@@ -245,20 +376,19 @@ Result<EtsModel> EtsModel::Fit(const std::vector<double>& y,
     nm.restarts = 1;
     auto outcome = math::NelderMead(obj, x0, nm);
     if (!outcome.ok()) return outcome.status();
-    decode(outcome->x, &alpha, &beta, &gamma, &phi);
+    params = decode(outcome->x);
   } else {
-    if (!has_trend) beta = 0.0;
-    if (!has_seasonal) gamma = 0.0;
-    if (!damped) phi = 1.0;
+    if (!has_trend) params.beta = 0.0;
+    if (!has_seasonal) params.gamma = 0.0;
+    if (!damped) params.phi = 1.0;
   }
 
-  m.alpha_ = alpha;
-  m.beta_ = beta;
-  m.gamma_ = gamma;
-  m.phi_ = phi;
-  const double sse =
-      RunRecursion(y, spec, alpha, beta, gamma, phi, &m.level_, &m.trend_,
-                   &m.seasonal_, &m.fitted_, &m.residuals_);
+  m.alpha_ = params.alpha;
+  m.beta_ = params.beta;
+  m.gamma_ = params.gamma;
+  m.phi_ = params.phi;
+  const double sse = sse_of.Record(params, &m.level_, &m.trend_, &m.seasonal_,
+                                   &m.fitted_, &m.residuals_);
   if (!std::isfinite(sse)) {
     return Status::ComputeError("EtsModel: smoothing recursion diverged");
   }

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,15 @@ EtsSpec HoltLinearTrend(bool damped = false);
 EtsSpec HoltWinters(std::size_t period, bool multiplicative = false,
                     bool damped = false);
 
+// Smoothing parameters of one recursion; the spec's form ignores the ones it
+// has no component for (and phi unless the trend is damped).
+struct EtsParams {
+  double alpha = 0.3;
+  double beta = 0.1;
+  double gamma = 0.1;
+  double phi = 0.98;
+};
+
 class EtsModel {
  public:
   struct Options {
@@ -56,6 +66,16 @@ class EtsModel {
                               const EtsSpec& spec) {
     return Fit(y, spec, Options());
   }
+
+  // Fit's objective: the one-step SSE of `y` under each parameter set, from
+  // the heuristic initial states Fit starts from; +inf where the recursion
+  // diverges (a non-finite state, or a multiplicative index or base below
+  // 1e-9 in magnitude). Sets run four at a time through a 4-lane kernel, a
+  // lone set through the one-lane pass Fit ends with; either way a set gets
+  // the bits the one-lane pass gives it. Same input checks as Fit.
+  static Result<std::vector<double>> SumSquaredErrors(
+      const std::vector<double>& y, const EtsSpec& spec,
+      std::span<const EtsParams> params);
 
   Result<Forecast> Predict(std::size_t horizon, double level = 0.95) const;
 
@@ -86,17 +106,6 @@ class EtsModel {
   const std::vector<double>& fitted() const { return fitted_; }
 
  private:
-  // Runs the smoothing recursion with the given parameters over y, starting
-  // from heuristic initial states; returns SSE and, if out-params are
-  // non-null, the trajectories and final states.
-  static double RunRecursion(const std::vector<double>& y, const EtsSpec& spec,
-                             double alpha, double beta, double gamma,
-                             double phi, double* final_level,
-                             double* final_trend,
-                             std::vector<double>* final_seasonal,
-                             std::vector<double>* fitted,
-                             std::vector<double>* residuals);
-
   EtsSpec spec_;
   double alpha_ = 0.3, beta_ = 0.1, gamma_ = 0.1, phi_ = 0.98;
   double level_ = 0.0, trend_ = 0.0;

@@ -225,7 +225,13 @@ void EstateService::CheckStalenessShard(EstateShard* shard) {
   for (std::size_t id : shard->watch_ids) {
     const std::string& key = keys_[id];
     auto entry = shard->scheduler.Get(key);
-    if (entry.ok() && (entry->quarantined || entry->in_flight)) continue;
+    // A key on the retry ladder keeps its backoff: after a failed age-due
+    // refit its champion stays past max_age, so a pull here would retry it
+    // every tick (ScoreShard's drift pulls follow the same rule).
+    if (entry.ok() && (entry->quarantined || entry->in_flight ||
+                       entry->consecutive_failures > 0)) {
+      continue;
+    }
     if (!registry_.Contains(key)) continue;  // initial fit already scheduled
     auto fc_it = forecasts_.find(key);
     double live_rmse = -1.0;

@@ -181,6 +181,60 @@ TEST_F(ChaosTest, QuarantineStormAndRecovery) {
   }
 }
 
+// A key whose age-due refit failed is still past max_age, and stays so until
+// a refit succeeds. The staleness check must leave it on the retry ladder:
+// pulling it forward every tick would turn the 6-hour backoff into a retry
+// per tick.
+TEST_F(ChaosTest, AgeDueRetryKeepsItsBackoff) {
+  const auto scenario = TestScenario();
+  workload::ClusterSimulator cluster(scenario, 7);
+  auto config = FastConfig();
+  config.state_dir = FreshStateDir("age_due_retry");
+  config.always_forecast = false;  // no ladder: every fit failure is real
+  config.guardrail.enabled = false;
+  config.staleness.max_age_seconds = 2 * kHour;
+  config.retry.initial_backoff_seconds = 6 * kHour;
+  config.retry.backoff_multiplier = 1.0;
+  config.retry.quarantine_after_failures = 100;
+  const std::vector<WatchConfig> watches = {{0, workload::Metric::kCpu, 95.0}};
+  EstateService service(&cluster, watches, config);
+  ASSERT_TRUE(service.Start().ok());
+  ASSERT_TRUE(service.Tick().ok());
+  ASSERT_TRUE(service.DrainRefits().ok());
+  ASSERT_EQ(service.telemetry().refits_succeeded, 1u);
+  const std::string& key = service.keys()[0];
+
+  FaultInjector::Global().Arm("pipeline.run", FaultPlan::FailForever());
+  std::vector<int> failed_at;
+  for (int tick = 1; tick <= 20; ++tick) {
+    const std::size_t failed_before = service.telemetry().refits_failed;
+    ASSERT_TRUE(service.Tick().ok());
+    ASSERT_TRUE(service.DrainRefits().ok());
+    if (service.telemetry().refits_failed == failed_before) continue;
+    failed_at.push_back(tick);
+    auto entry = service.ScheduleFor(key);
+    ASSERT_TRUE(entry.ok());
+    EXPECT_EQ(entry->consecutive_failures,
+              static_cast<int>(failed_at.size()));
+    EXPECT_EQ(entry->due_epoch, service.now() + 6 * kHour);
+  }
+  // The first retry falls due two hours after the fit; after that, one
+  // attempt per six-hour backoff.
+  EXPECT_EQ(failed_at, (std::vector<int>{2, 8, 14, 20}));
+
+  // The schedule the live service keeps is the one its journal recovers.
+  auto live = service.ScheduleFor(key);
+  ASSERT_TRUE(live.ok());
+  EstateService recovered(&cluster, watches, config);
+  ASSERT_TRUE(recovered.Recover().ok());
+  auto replayed = recovered.ScheduleFor(key);
+  ASSERT_TRUE(replayed.ok());
+  EXPECT_EQ(replayed->due_epoch, live->due_epoch);
+  EXPECT_EQ(replayed->consecutive_failures, live->consecutive_failures);
+  EXPECT_EQ(replayed->quarantined, live->quarantined);
+  std::filesystem::remove_all(config.state_dir);
+}
+
 TEST_F(ChaosTest, JournalWriteFailuresCountedNotFatal) {
   const auto scenario = TestScenario();
   workload::ClusterSimulator cluster(scenario, 7);
