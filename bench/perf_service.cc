@@ -71,9 +71,10 @@ void BM_EstateServiceSteadyState(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(ticks), benchmark::Counter::kIsRate);
   state.counters["refits"] =
       static_cast<double>(svc.telemetry().refits_succeeded);
-  state.counters["fit_ms_mean"] = svc.telemetry().fit_stage.mean_ms();
-  state.counters["fit_ms_p50"] = svc.telemetry().fit_stage.p50_ms();
-  state.counters["fit_ms_p99"] = svc.telemetry().fit_stage.p99_ms();
+  const obs::Histogram& fit = svc.telemetry().fit_stage;
+  state.counters["fit_ms_mean"] = fit.mean();
+  state.counters["fit_ms_p50"] = fit.quantile(0.50);
+  state.counters["fit_ms_p99"] = fit.quantile(0.99);
 }
 
 BENCHMARK(BM_EstateServiceSteadyState)

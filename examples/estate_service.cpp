@@ -114,8 +114,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(t.refits_succeeded),
                 static_cast<unsigned long long>(t.refits_failed),
                 static_cast<unsigned long long>(t.alerts_raised),
-                t.fit_stage.min_ms(), t.fit_stage.p50_ms(),
-                t.fit_stage.mean_ms(), t.fit_stage.p99_ms());
+                t.fit_stage.min(), t.fit_stage.quantile(0.50),
+                t.fit_stage.mean(), t.fit_stage.quantile(0.99));
 
     // Refits only per staleness policy: two weeks = the initial fit plus at
     // most two age-driven rounds (degradation may add a handful, never a

@@ -1,25 +1,12 @@
 #include "core/lattice/period_router.h"
 
-#include <chrono>
-
 #include "common/fault.h"
 #include "obs/trace.h"
 
 namespace capplan::core::lattice {
 
-namespace {
-
-double MsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
-
 RoutingDecision PeriodRouter::Route(const std::vector<double>& values) const {
   obs::TraceSpan span("select.periods", "select");
-  const auto t0 = std::chrono::steady_clock::now();
   RoutingDecision decision;
 
   auto detect = [&]() -> Status {
@@ -38,7 +25,7 @@ RoutingDecision PeriodRouter::Route(const std::vector<double>& values) const {
     span.set_tag("fallback");
   }
   decision.multiple_seasonality = decision.seasons.size() >= 2;
-  decision.routing_ms = MsSince(t0);
+  decision.routing_ms = span.End();
 
   if (options_.metrics != nullptr) {
     options_.metrics

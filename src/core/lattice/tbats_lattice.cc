@@ -1,7 +1,6 @@
 #include "core/lattice/tbats_lattice.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -15,12 +14,6 @@ namespace capplan::core::lattice {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-double MsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 double AicOrInf(const Result<models::TbatsModel>& r) {
   return r.ok() ? r->summary().aic : kInf;
@@ -118,7 +111,6 @@ std::vector<models::TbatsConfig> TbatsLattice::EnumerateConfigs(
 Result<TbatsSelection> TbatsLattice::Select(
     const std::vector<double>& y, const std::vector<double>& periods) const {
   obs::TraceSpan span("select.tbats_lattice", "select");
-  const auto t0 = std::chrono::steady_clock::now();
 
   const std::vector<models::TbatsConfig> lattice =
       EnumerateConfigs(y, periods);
@@ -197,7 +189,7 @@ Result<TbatsSelection> TbatsLattice::Select(
       best_idx = idx;
     }
   }
-  profile.total_ms = MsSince(t0);
+  profile.total_ms = span.End();
 
   if (options_.metrics != nullptr) {
     options_.metrics

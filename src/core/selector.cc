@@ -205,11 +205,6 @@ FastOutcome EvaluateFast(const ModelCandidate& candidate,
   return out;
 }
 
-double MsBetween(std::chrono::steady_clock::time_point t0,
-                 std::chrono::steady_clock::time_point t1) {
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
 }  // namespace
 
 std::size_t DefaultThreadCount() {
@@ -296,7 +291,6 @@ Result<SelectionResult> ModelSelector::Select(
   }
 
   obs::TraceSpan select_span("selector.select", "selector");
-  const auto t_select0 = std::chrono::steady_clock::now();
   SelectorProfile prof;
   prof.candidates = candidates.size();
   std::atomic<std::size_t> warm_hits{0};
@@ -310,10 +304,10 @@ Result<SelectionResult> ModelSelector::Select(
   // makes the answer monotone: once the budget expires every later check
   // skips, independent of clock resolution.
   const bool has_deadline = options_.time_budget_seconds > 0.0;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(options_.time_budget_seconds));
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration_cast<std::chrono::nanoseconds>(
+                            std::chrono::duration<double>(
+                                options_.time_budget_seconds));
   std::atomic<bool> deadline_expired{false};
   auto past_deadline = [&] {
     if (!has_deadline) return false;
@@ -333,7 +327,6 @@ Result<SelectionResult> ModelSelector::Select(
   if (!fast_path) {
     // Oracle path: independent, un-cached evaluations.
     obs::TraceSpan grid_span("selector.grid", "selector");
-    const auto t_grid0 = std::chrono::steady_clock::now();
     pool.ParallelFor(candidates.size(), [&](std::size_t i) {
       if (past_deadline()) {
         skip_for_deadline(i);
@@ -341,10 +334,9 @@ Result<SelectionResult> ModelSelector::Select(
       }
       results[i] = Evaluate(candidates[i], train, test, exog_train, exog_test);
     });
-    prof.grid_ms = MsBetween(t_grid0, std::chrono::steady_clock::now());
+    prof.grid_ms = grid_span.End();
   } else {
     obs::TraceSpan prepare_span("selector.prepare", "selector");
-    const auto t_prep0 = std::chrono::steady_clock::now();
     // --- Layer 1: shared transforms, grouped by (exog, fourier). ---
     std::vector<std::unique_ptr<OlsGroup>> groups;
     std::map<std::pair<std::size_t, std::string>, std::size_t> group_index;
@@ -408,10 +400,8 @@ Result<SelectionResult> ModelSelector::Select(
     PruneBound bound(options_.keep_top + kRescoreMargin);
 
     prof.transform_groups = groups.size();
-    prepare_span.End();
-    prof.prepare_ms = MsBetween(t_prep0, std::chrono::steady_clock::now());
+    prof.prepare_ms = prepare_span.End();
     obs::TraceSpan grid_span("selector.grid", "selector");
-    const auto t_grid0 = std::chrono::steady_clock::now();
     pool.ParallelFor(segments.size(), [&](std::size_t s) {
       std::vector<double> warm_ar;
       std::vector<double> warm_ma;
@@ -443,7 +433,7 @@ Result<SelectionResult> ModelSelector::Select(
         results[idx] = std::move(out.ev);
       }
     });
-    prof.grid_ms = MsBetween(t_grid0, std::chrono::steady_clock::now());
+    prof.grid_ms = grid_span.End();
   }
 
   SelectionResult sel;
@@ -463,7 +453,7 @@ Result<SelectionResult> ModelSelector::Select(
     prof.failed =
         prof.candidates - prof.succeeded - prof.pruned - prof.deadline_skipped;
     prof.warm_hits = warm_hits.load(std::memory_order_relaxed);
-    prof.total_ms = MsBetween(t_select0, std::chrono::steady_clock::now());
+    prof.total_ms = select_span.End();
     sel.profile = prof;
   };
   if (ok_results.empty()) {
@@ -482,7 +472,6 @@ Result<SelectionResult> ModelSelector::Select(
     // to the un-cached serial path (warm-started refinement perturbs RMSE by
     // ~1e-6, which must not leak into the selection output).
     obs::TraceSpan rescore_span("selector.rescore", "selector");
-    const auto t_rescore0 = std::chrono::steady_clock::now();
     const std::size_t pool_size = std::min(
         options_.keep_top + kRescoreMargin, ok_results.size());
     prof.rescored = pool_size;
@@ -491,8 +480,7 @@ Result<SelectionResult> ModelSelector::Select(
       rescored[i] = Evaluate(ok_results[i]->candidate, train, test,
                              exog_train, exog_test);
     });
-    rescore_span.End();
-    prof.rescore_ms = MsBetween(t_rescore0, std::chrono::steady_clock::now());
+    prof.rescore_ms = rescore_span.End();
     std::vector<EvaluatedCandidate> ok_rescored;
     for (auto& r : rescored) {
       if (r.ok) ok_rescored.push_back(std::move(r));

@@ -1,30 +1,6 @@
 #include "obs/event_log.h"
 
-#include <algorithm>
-#include <chrono>
-
-#include "obs/trace.h"
-
 namespace capplan::obs {
-
-namespace {
-
-std::uint64_t SteadyNowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-std::atomic<std::uint32_t> g_next_tid{0};
-
-std::uint32_t ThisThreadTid() {
-  thread_local const std::uint32_t tid =
-      g_next_tid.fetch_add(1, std::memory_order_relaxed) + 1;
-  return tid;
-}
-
-}  // namespace
 
 const char* WideEventKindName(WideEventKind kind) {
   switch (kind) {
@@ -69,134 +45,14 @@ EventLog& EventLog::Instance() {
   return *log;
 }
 
-void EventLog::Enable(std::size_t events_per_thread) {
-  if (events_per_thread == 0) events_per_thread = 1;
-  ring_capacity_.store(events_per_thread, std::memory_order_relaxed);
-  enabled_.store(true, std::memory_order_release);
-}
-
-void EventLog::Disable() {
-  enabled_.store(false, std::memory_order_release);
-}
-
-void EventLog::SetClockForTest(EventClockFn fn) {
-  clock_.store(fn, std::memory_order_relaxed);
-}
-
-std::uint64_t EventLog::NowNs() const {
-  const EventClockFn fn = clock_.load(std::memory_order_relaxed);
-  return fn != nullptr ? fn() : SteadyNowNs();
-}
-
-EventLog::Ring* EventLog::ThisThreadRing() {
-  // Same lifetime scheme as Tracer: the thread_local shared_ptr keeps the
-  // ring alive while its thread runs, the registry copy keeps buffered
-  // events reachable after thread exit until the next Drain.
-  thread_local std::shared_ptr<Ring> ring;
-  if (ring == nullptr) {
-    ring = std::make_shared<Ring>();
-    ring->capacity = ring_capacity_.load(std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    rings_.push_back(ring);
-  }
-  return ring.get();
-}
-
 std::uint64_t EventLog::Emit(WideEvent event) {
   if (!enabled()) return 0;
   event.id = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (event.tid == 0) event.tid = ThisThreadTid();
+  if (event.tid == 0) event.tid = ThisThreadId();
   if (event.span_id == 0) event.span_id = CurrentSpanId();
-  Ring* ring = ThisThreadRing();
-  std::lock_guard<std::mutex> lock(ring->mu);
-  if (ring->events.size() < ring->capacity) {
-    ring->events.push_back(event);
-    return event.id;
-  }
-  ring->events[ring->next] = event;
-  ring->next = (ring->next + 1) % ring->capacity;
-  ++ring->dropped;
-  total_dropped_.fetch_add(1, std::memory_order_relaxed);
+  if (event.start_ns == 0) event.start_ns = NowNs();
+  rings_.Push(event);
   return event.id;
-}
-
-std::vector<WideEvent> EventLog::Snapshot() const {
-  std::vector<std::shared_ptr<Ring>> rings;
-  {
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    rings = rings_;
-  }
-  std::vector<WideEvent> out;
-  for (const auto& ring : rings) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    for (std::size_t i = ring->next; i < ring->events.size(); ++i) {
-      out.push_back(ring->events[i]);
-    }
-    for (std::size_t i = 0; i < ring->next; ++i) {
-      out.push_back(ring->events[i]);
-    }
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const WideEvent& a, const WideEvent& b) {
-                     return a.start_ns < b.start_ns;
-                   });
-  return out;
-}
-
-std::vector<WideEvent> EventLog::Drain() {
-  std::vector<std::shared_ptr<Ring>> rings;
-  {
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    rings = rings_;
-    std::erase_if(rings_, [](const std::shared_ptr<Ring>& r) {
-      return r.use_count() <= 2;  // `rings_` copy + local `rings` copy
-    });
-  }
-  std::vector<WideEvent> out;
-  for (const auto& ring : rings) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    for (std::size_t i = ring->next; i < ring->events.size(); ++i) {
-      out.push_back(ring->events[i]);
-    }
-    for (std::size_t i = 0; i < ring->next; ++i) {
-      out.push_back(ring->events[i]);
-    }
-    ring->events.clear();
-    ring->next = 0;
-    ring->dropped = 0;
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const WideEvent& a, const WideEvent& b) {
-                     return a.start_ns < b.start_ns;
-                   });
-  return out;
-}
-
-std::uint64_t EventLog::dropped() const {
-  std::lock_guard<std::mutex> lock(rings_mu_);
-  std::uint64_t total = 0;
-  for (const auto& ring : rings_) {
-    std::lock_guard<std::mutex> ring_lock(ring->mu);
-    total += ring->dropped;
-  }
-  return total;
-}
-
-WideEventScope::WideEventScope(WideEventKind kind) {
-  event_.kind = kind;
-  EventLog& log = EventLog::Instance();
-  if (!log.enabled()) return;
-  armed_ = true;
-  event_.start_ns = log.NowNs();
-}
-
-std::uint64_t WideEventScope::End() {
-  if (!armed_) return 0;
-  armed_ = false;
-  EventLog& log = EventLog::Instance();
-  const std::uint64_t end_ns = log.NowNs();
-  event_.dur_ns = end_ns >= event_.start_ns ? end_ns - event_.start_ns : 0;
-  return log.Emit(event_);
 }
 
 }  // namespace capplan::obs

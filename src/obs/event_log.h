@@ -4,10 +4,11 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <memory>
-#include <mutex>
 #include <string_view>
 #include <vector>
+
+#include "obs/thread_ring.h"
+#include "obs/trace.h"
 
 namespace capplan::obs {
 
@@ -21,10 +22,10 @@ namespace capplan::obs {
 // snapshot of the rings, so the last few thousand units of work are always
 // queryable on-box without any external pipeline.
 //
-// Cost model matches obs::Tracer: disabled emission is one relaxed load and
-// a branch; enabled it is one ~160-byte ring write behind an uncontended
-// per-thread mutex. Rings overwrite their oldest events when full;
-// dropped()/total_dropped() count the overwrites.
+// Cost model: disabled emission is one relaxed load and a branch; enabled it
+// is one ~160-byte ring write behind an uncontended per-thread mutex, on the
+// same per-thread rings as obs::Tracer. Rings overwrite their oldest events
+// when full; dropped()/total_dropped() count the overwrites.
 
 enum class WideEventKind : std::uint8_t {
   kHttpRequest = 0,
@@ -57,10 +58,10 @@ struct WideEvent {
   std::int32_t shard = -1;      // -1 when not shard-scoped
   std::uint64_t span_id = 0;    // enclosing trace span, 0 = none
   std::uint64_t journal_seq = 0;  // journal append seq, 0 = not journalled
-  std::uint64_t start_ns = 0;
+  std::uint64_t start_ns = 0;  // NowNs(), the trace spans' clock
   std::uint64_t dur_ns = 0;
   const char* outcome = "ok";  // static string: "ok", "error", "rejected"...
-  std::uint32_t tid = 0;
+  std::uint32_t tid = 0;       // ThisThreadId(), as in trace spans
   std::uint8_t n_attrs = 0;
   Attr attrs[kMaxAttrs] = {};
 
@@ -73,10 +74,14 @@ struct WideEvent {
   void AddAttr(const char* name, double value) {
     if (n_attrs < kMaxAttrs) attrs[n_attrs++] = {name, value};
   }
+  // Stamps the span that timed this unit of work: its id, start and
+  // duration.
+  void set_timing(const SpanTiming& timing) {
+    span_id = timing.span_id;
+    start_ns = timing.start_ns;
+    dur_ns = timing.dur_ns;
+  }
 };
-
-// Injectable monotonic clock (nanoseconds); nullptr restores steady_clock.
-using EventClockFn = std::uint64_t (*)();
 
 class EventLog {
  public:
@@ -84,72 +89,35 @@ class EventLog {
 
   static EventLog& Instance();
 
-  void Enable(std::size_t events_per_thread = kDefaultRingCapacity);
-  void Disable();
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  void Enable(std::size_t events_per_thread = kDefaultRingCapacity) {
+    rings_.Enable(events_per_thread);
+  }
+  void Disable() { rings_.Disable(); }
+  bool enabled() const { return rings_.enabled(); }
 
-  // Records `event` (filling id, tid, and span_id when unset) into the
-  // calling thread's ring. Returns the assigned event id, 0 when disabled.
+  // Records `event` into the calling thread's ring. Assigns its id and
+  // fills tid, span_id (the enclosing trace span) and start_ns (now) when
+  // unset. Returns the assigned event id, 0 when disabled.
   std::uint64_t Emit(WideEvent event);
 
   // Merged copy of every ring, oldest first, rings left intact — the debug
   // handlers must not consume the recorder. Safe during concurrent Emits.
-  std::vector<WideEvent> Snapshot() const;
+  std::vector<WideEvent> Snapshot() { return rings_.Collect(/*clear=*/false); }
 
   // Collects and clears every ring (same contract as Tracer::Drain).
-  std::vector<WideEvent> Drain();
+  std::vector<WideEvent> Drain() { return rings_.Collect(/*clear=*/true); }
   void Clear() { (void)Drain(); }
 
   // Events overwritten because a ring was full: since the last Drain, and
   // cumulatively since process start (the `_total` metric source).
-  std::uint64_t dropped() const;
-  std::uint64_t total_dropped() const {
-    return total_dropped_.load(std::memory_order_relaxed);
-  }
-
-  void SetClockForTest(EventClockFn fn);
-  std::uint64_t NowNs() const;
+  std::uint64_t dropped() const { return rings_.dropped(); }
+  std::uint64_t total_dropped() const { return rings_.total_dropped(); }
 
  private:
-  struct Ring {
-    std::mutex mu;
-    std::vector<WideEvent> events;  // circular once size() == capacity
-    std::size_t capacity = kDefaultRingCapacity;
-    std::size_t next = 0;  // overwrite cursor once full
-    std::uint64_t dropped = 0;
-  };
-
   EventLog() = default;
-  Ring* ThisThreadRing();
 
-  std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> next_id_{0};
-  std::atomic<std::uint64_t> total_dropped_{0};
-  std::atomic<EventClockFn> clock_{nullptr};
-  std::atomic<std::size_t> ring_capacity_{kDefaultRingCapacity};
-
-  mutable std::mutex rings_mu_;
-  std::vector<std::shared_ptr<Ring>> rings_;
-};
-
-// RAII emitter for call sites that do not already measure their duration:
-// construction stamps start_ns, End()/destruction stamps dur_ns and emits.
-// Mutate event() freely in between (key, outcome, attrs).
-class WideEventScope {
- public:
-  explicit WideEventScope(WideEventKind kind);
-  ~WideEventScope() { End(); }
-
-  WideEventScope(const WideEventScope&) = delete;
-  WideEventScope& operator=(const WideEventScope&) = delete;
-
-  WideEvent& event() { return event_; }
-  // Emits now (the destructor becomes a no-op). Returns the event id.
-  std::uint64_t End();
-
- private:
-  WideEvent event_;
-  bool armed_ = false;
+  ThreadRings<WideEvent> rings_{kDefaultRingCapacity};
 };
 
 }  // namespace capplan::obs

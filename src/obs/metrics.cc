@@ -68,9 +68,9 @@ void HistogramCell::ObserveWithExemplar(double v, std::uint64_t span_id,
   ExemplarSlot& slot = exemplars_[BucketIndex(v)];
   // Claim the slot by flipping seq even -> odd with a CAS so two writers
   // can never interleave their field stores. Losing the race just drops
-  // this exemplar — the slot only promises *some* recent observation. The
-  // acquire on success keeps the field stores below from moving above the
-  // claim; the release store publishes them with the new even seq.
+  // this exemplar — the slot only promises *some* recent observation. Each
+  // field store is a release, so a reader that sees it also sees the claim
+  // before it; the release store of the new even seq publishes all three.
   std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
   if (seq % 2 != 0 ||
       !slot.seq.compare_exchange_strong(seq, seq + 1,
@@ -78,9 +78,9 @@ void HistogramCell::ObserveWithExemplar(double v, std::uint64_t span_id,
                                         std::memory_order_relaxed)) {
     return;
   }
-  slot.value.store(v, std::memory_order_relaxed);
-  slot.span_id.store(span_id, std::memory_order_relaxed);
-  slot.event_id.store(event_id, std::memory_order_relaxed);
+  slot.value.store(v, std::memory_order_release);
+  slot.span_id.store(span_id, std::memory_order_release);
+  slot.event_id.store(event_id, std::memory_order_release);
   slot.seq.store(seq + 2, std::memory_order_release);  // even: stable
 }
 
@@ -94,13 +94,14 @@ std::vector<Exemplar> HistogramCell::Exemplars() const {
       if (s1 % 2 != 0) continue;  // writer in flight
       Exemplar e;
       e.valid = true;
-      e.value = slot.value.load(std::memory_order_relaxed);
-      e.span_id = slot.span_id.load(std::memory_order_relaxed);
-      e.event_id = slot.event_id.load(std::memory_order_relaxed);
-      // Standard seqlock validation: the fence orders the relaxed data
-      // loads above before the re-read of seq (a plain acquire load would
-      // not), so an unchanged sequence proves the triple was not torn.
-      std::atomic_thread_fence(std::memory_order_acquire);
+      // Acquire loads: the re-read of seq below cannot move above them, and
+      // a field written by a later writer carries that writer's claim with
+      // it, so the re-read then sees a newer seq. An unchanged sequence thus
+      // proves the triple was not torn, with no fence (which TSan cannot
+      // model).
+      e.value = slot.value.load(std::memory_order_acquire);
+      e.span_id = slot.span_id.load(std::memory_order_acquire);
+      e.event_id = slot.event_id.load(std::memory_order_acquire);
       if (slot.seq.load(std::memory_order_relaxed) == s1) {
         out[i] = e;
         break;

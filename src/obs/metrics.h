@@ -187,6 +187,10 @@ class Histogram {
   }
   std::uint64_t count() const { return cell_ == nullptr ? 0 : cell_->Count(); }
   double sum() const { return cell_ == nullptr ? 0.0 : cell_->Sum(); }
+  double mean() const {
+    const std::uint64_t n = count();
+    return n == 0 ? 0.0 : sum() / static_cast<double>(n);
+  }
   double min() const { return cell_ == nullptr ? 0.0 : cell_->Min(); }
   double max() const { return cell_ == nullptr ? 0.0 : cell_->Max(); }
   double quantile(double q) const {

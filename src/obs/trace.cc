@@ -1,26 +1,8 @@
 #include "obs/trace.h"
 
-#include <algorithm>
-#include <chrono>
-
 namespace capplan::obs {
 
 namespace {
-
-std::uint64_t SteadyNowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-std::atomic<std::uint32_t> g_next_tid{0};
-
-std::uint32_t ThisThreadTid() {
-  thread_local const std::uint32_t tid =
-      g_next_tid.fetch_add(1, std::memory_order_relaxed) + 1;
-  return tid;
-}
 
 // Innermost open span per thread; spans nest strictly (RAII), so a plain
 // stack of ids is enough to give children their parent.
@@ -40,92 +22,6 @@ Tracer& Tracer::Instance() {
   return *tracer;
 }
 
-void Tracer::Enable(std::size_t events_per_thread) {
-  if (events_per_thread == 0) events_per_thread = 1;
-  ring_capacity_.store(events_per_thread, std::memory_order_relaxed);
-  enabled_.store(true, std::memory_order_release);
-}
-
-void Tracer::Disable() { enabled_.store(false, std::memory_order_release); }
-
-void Tracer::SetClockForTest(TraceClockFn fn) {
-  clock_.store(fn, std::memory_order_relaxed);
-}
-
-std::uint64_t Tracer::NowNs() const {
-  const TraceClockFn fn = clock_.load(std::memory_order_relaxed);
-  return fn != nullptr ? fn() : SteadyNowNs();
-}
-
-Tracer::Ring* Tracer::ThisThreadRing() {
-  // The thread_local shared_ptr keeps the ring alive while its thread
-  // runs; the registry copy keeps buffered events reachable after thread
-  // exit (selector ThreadPools are short-lived) until the next Drain.
-  thread_local std::shared_ptr<Ring> ring;
-  if (ring == nullptr) {
-    ring = std::make_shared<Ring>();
-    ring->capacity = ring_capacity_.load(std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    rings_.push_back(ring);
-  }
-  return ring.get();
-}
-
-void Tracer::Record(const TraceEvent& event) {
-  Ring* ring = ThisThreadRing();
-  std::lock_guard<std::mutex> lock(ring->mu);
-  if (ring->events.size() < ring->capacity) {
-    ring->events.push_back(event);
-    return;
-  }
-  ring->events[ring->next] = event;
-  ring->next = (ring->next + 1) % ring->capacity;
-  ++ring->dropped;
-  total_dropped_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::vector<TraceEvent> Tracer::Drain() {
-  std::vector<std::shared_ptr<Ring>> rings;
-  {
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    rings = rings_;
-    // Rings whose thread has exited (registry holds the only reference)
-    // are flushed below and then forgotten so dead threads don't leak.
-    std::erase_if(rings_, [](const std::shared_ptr<Ring>& r) {
-      return r.use_count() <= 2;  // `rings_` copy + local `rings` copy
-    });
-  }
-  std::vector<TraceEvent> out;
-  for (const auto& ring : rings) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    // Oldest-first: the tail [next, end) precedes [0, next) once wrapped.
-    for (std::size_t i = ring->next; i < ring->events.size(); ++i) {
-      out.push_back(ring->events[i]);
-    }
-    for (std::size_t i = 0; i < ring->next; ++i) {
-      out.push_back(ring->events[i]);
-    }
-    ring->events.clear();
-    ring->next = 0;
-    ring->dropped = 0;
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.start_ns < b.start_ns;
-                   });
-  return out;
-}
-
-std::uint64_t Tracer::dropped() const {
-  std::lock_guard<std::mutex> lock(rings_mu_);
-  std::uint64_t total = 0;
-  for (const auto& ring : rings_) {
-    std::lock_guard<std::mutex> ring_lock(ring->mu);
-    total += ring->dropped;
-  }
-  return total;
-}
-
 std::uint64_t CurrentSpanId() {
   const SpanStack& stack = ThisThreadSpans();
   return stack.ids.empty() ? 0 : stack.ids.back();
@@ -134,34 +30,46 @@ std::uint64_t CurrentSpanId() {
 TraceSpan::TraceSpan(const char* name, const char* category)
     : name_(name), category_(category) {
   Tracer& tracer = Tracer::Instance();
-  if (!tracer.enabled()) return;
-  id_ = tracer.NextSpanId();
-  parent_id_ = CurrentSpanId();
-  ThisThreadSpans().ids.push_back(id_);
-  start_ns_ = tracer.NowNs();
+  if (tracer.enabled()) {
+    timing_.span_id =
+        tracer.next_span_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+    parent_id_ = CurrentSpanId();
+    ThisThreadSpans().ids.push_back(timing_.span_id);
+  }
+  timing_.start_ns = NowNs();
 }
 
-TraceSpan::~TraceSpan() { End(); }
+// An untraced span nobody ended has nothing to report: skip its clock read.
+TraceSpan::~TraceSpan() {
+  if (timing_.span_id != 0) End();
+}
 
-void TraceSpan::End() {
-  if (id_ == 0) return;
-  Tracer& tracer = Tracer::Instance();
-  TraceEvent event;
-  event.name = name_;
-  event.category = category_;
-  event.tag = tag_;
-  event.start_ns = start_ns_;
-  const std::uint64_t end_ns = tracer.NowNs();
-  event.dur_ns = end_ns >= start_ns_ ? end_ns - start_ns_ : 0;
-  event.span_id = id_;
-  event.parent_id = parent_id_;
-  event.tid = ThisThreadTid();
-  SpanStack& stack = ThisThreadSpans();
-  if (!stack.ids.empty() && stack.ids.back() == id_) stack.ids.pop_back();
-  id_ = 0;  // the destructor (or a second End) becomes a no-op
-  // Record even if tracing was disabled mid-span: the open event is more
-  // useful than a hole in the timeline.
-  tracer.Record(event);
+double TraceSpan::End() {
+  if (open_) {
+    open_ = false;
+    const std::uint64_t end_ns = NowNs();
+    timing_.dur_ns =
+        end_ns >= timing_.start_ns ? end_ns - timing_.start_ns : 0;
+    if (timing_.span_id != 0) {
+      SpanStack& stack = ThisThreadSpans();
+      if (!stack.ids.empty() && stack.ids.back() == timing_.span_id) {
+        stack.ids.pop_back();
+      }
+      TraceEvent event;
+      event.name = name_;
+      event.category = category_;
+      event.tag = tag_;
+      event.start_ns = timing_.start_ns;
+      event.dur_ns = timing_.dur_ns;
+      event.span_id = timing_.span_id;
+      event.parent_id = parent_id_;
+      event.tid = ThisThreadId();
+      // Record even if tracing was disabled mid-span: the open event is
+      // more useful than a hole in the timeline.
+      Tracer::Instance().rings_.Push(event);
+    }
+  }
+  return timing_.ms();
 }
 
 }  // namespace capplan::obs

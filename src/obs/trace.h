@@ -3,9 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
+
+#include "obs/thread_ring.h"
 
 namespace capplan::obs {
 
@@ -15,15 +15,16 @@ namespace capplan::obs {
 // Chrome-trace exporter (obs/export.h) turns into a chrome://tracing /
 // Perfetto flame view of a whole service run.
 //
-// Cost model: with tracing disabled a span is one relaxed atomic load and a
-// branch (safe to leave in per-candidate grid loops); enabled it is two
-// monotonic clock reads plus a ~64-byte ring write behind an uncontended
-// per-thread mutex — O(100ns). Rings are fixed-capacity and overwrite their
-// oldest events when full (dropped() counts the overwrites).
-
-// Injectable monotonic clock (nanoseconds) so tests see deterministic
-// timestamps/durations. nullptr restores the steady_clock default.
-using TraceClockFn = std::uint64_t (*)();
+// A TraceSpan is also the stage timer: it always stamps its start from
+// NowNs(), and End() returns the elapsed milliseconds that feed the stage
+// histograms and profiles, so spans and stage latencies share one clock.
+//
+// Cost model: with tracing disabled a span is one relaxed atomic load, a
+// branch and its clock reads (one at construction, one in an explicit
+// End(); safe to leave in per-candidate grid loops); enabled it adds a
+// ~64-byte ring write behind an uncontended per-thread mutex — O(100ns).
+// Rings are fixed-capacity and overwrite their oldest events when full
+// (dropped() counts the overwrites).
 
 struct TraceEvent {
   const char* name = "";      // static string: span site, e.g. "service.tick"
@@ -33,7 +34,7 @@ struct TraceEvent {
   std::uint64_t dur_ns = 0;
   std::uint64_t span_id = 0;    // unique per span, 1-based
   std::uint64_t parent_id = 0;  // enclosing span on the same thread, 0 = root
-  std::uint32_t tid = 0;        // small per-thread id, stable within a run
+  std::uint32_t tid = 0;        // ThisThreadId() of the recording thread
 };
 
 class Tracer {
@@ -44,52 +45,31 @@ class Tracer {
 
   // Starts recording. `events_per_thread` caps each thread's ring; rings
   // grow lazily up to the cap, so idle threads cost nothing.
-  void Enable(std::size_t events_per_thread = kDefaultRingCapacity);
+  void Enable(std::size_t events_per_thread = kDefaultRingCapacity) {
+    rings_.Enable(events_per_thread);
+  }
   // Stops recording. Events already buffered stay until Drain()/Clear().
-  void Disable();
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  void Disable() { rings_.Disable(); }
+  bool enabled() const { return rings_.enabled(); }
 
   // Collects and clears every thread's buffered events, sorted by start
   // time. Safe to call while other threads keep recording.
-  std::vector<TraceEvent> Drain();
+  std::vector<TraceEvent> Drain() { return rings_.Collect(/*clear=*/true); }
   void Clear() { (void)Drain(); }
 
   // Events overwritten because a ring was full, since the last Drain.
-  std::uint64_t dropped() const;
+  std::uint64_t dropped() const { return rings_.dropped(); }
   // Overwrites since process start (never reset by Drain) — backs the
   // capplan_obs_trace_dropped_total metric.
-  std::uint64_t total_dropped() const {
-    return total_dropped_.load(std::memory_order_relaxed);
-  }
-
-  void SetClockForTest(TraceClockFn fn);
-  std::uint64_t NowNs() const;
+  std::uint64_t total_dropped() const { return rings_.total_dropped(); }
 
  private:
   friend class TraceSpan;
-  struct Ring {
-    std::mutex mu;
-    std::vector<TraceEvent> events;  // circular once size() == capacity
-    std::size_t capacity = kDefaultRingCapacity;
-    std::size_t next = 0;  // overwrite cursor once full
-    std::uint64_t dropped = 0;
-  };
 
   Tracer() = default;
-  void Record(const TraceEvent& event);
-  Ring* ThisThreadRing();
-  std::uint64_t NextSpanId() {
-    return next_span_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
 
-  std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> next_span_id_{0};
-  std::atomic<std::uint64_t> total_dropped_{0};
-  std::atomic<TraceClockFn> clock_{nullptr};
-  std::atomic<std::size_t> ring_capacity_{kDefaultRingCapacity};
-
-  mutable std::mutex rings_mu_;
-  std::vector<std::shared_ptr<Ring>> rings_;
+  ThreadRings<TraceEvent> rings_{kDefaultRingCapacity};
 };
 
 // Innermost active span id on the calling thread (0 when none). Journal
@@ -97,9 +77,19 @@ class Tracer {
 // in the trace timeline.
 std::uint64_t CurrentSpanId();
 
-// RAII span: construction opens it (when tracing is enabled), destruction
-// records the complete event. Name/category/tag must be static strings —
-// spans never allocate.
+// What a span measured. Copyable, so work timed on one thread can stamp a
+// wide event that another thread emits later.
+struct SpanTiming {
+  std::uint64_t span_id = 0;   // 0 when tracing was off at the span's start
+  std::uint64_t start_ns = 0;  // NowNs() at construction
+  std::uint64_t dur_ns = 0;    // set by End()
+
+  double ms() const { return static_cast<double>(dur_ns) / 1e6; }
+};
+
+// RAII span: construction stamps the start (and opens a trace span when
+// tracing is enabled), End() or destruction closes it. Name/category/tag
+// must be static strings — spans never allocate.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, const char* category = "task");
@@ -110,19 +100,22 @@ class TraceSpan {
 
   // Annotates the event, e.g. the prune/ok/error outcome of a candidate.
   void set_tag(const char* tag) { tag_ = tag; }
-  // Closes the span now instead of at scope exit (the destructor becomes a
-  // no-op). For back-to-back stages inside one scope.
-  void End();
-  // 0 when tracing was disabled at construction.
-  std::uint64_t id() const { return id_; }
+  // Closes the span now instead of at scope exit and returns its duration
+  // in milliseconds. Later calls, and the destructor, change nothing and
+  // End() returns the same value again.
+  double End();
+  // 0 when tracing was disabled at construction; kept after End().
+  std::uint64_t id() const { return timing_.span_id; }
+  // Id, start and (after End()) duration, to stamp a wide event with.
+  const SpanTiming& timing() const { return timing_; }
 
  private:
   const char* name_;
   const char* category_;
   const char* tag_ = nullptr;
-  std::uint64_t start_ns_ = 0;
-  std::uint64_t id_ = 0;
+  SpanTiming timing_;
   std::uint64_t parent_id_ = 0;
+  bool open_ = true;
 };
 
 }  // namespace capplan::obs

@@ -160,7 +160,6 @@ HttpResponse EstateQueryHandler::Dispatch(
     return ErrorResponse(404, "NotFound", "no such endpoint: " + request.path);
   }
 
-  const auto start = std::chrono::steady_clock::now();
   obs::TraceSpan span("serve.request", "serve");
   HttpResponse response;
   EndpointMetrics* metrics = nullptr;
@@ -215,10 +214,7 @@ HttpResponse EstateQueryHandler::Dispatch(
     }
   }
 
-  span.End();
-  const double elapsed_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
+  const double elapsed_ms = span.End();
   // One wide event per rendered request; its id plus the request span id
   // become the latency histogram's exemplar for the bucket this request
   // landed in, so a p99 spike links straight back to the evidence.
@@ -228,11 +224,8 @@ HttpResponse EstateQueryHandler::Dispatch(
     obs::WideEvent ev;
     ev.kind = obs::WideEventKind::kHttpRequest;
     ev.set_key(request.path);
-    ev.span_id = span.id();
+    ev.set_timing(span.timing());
     ev.outcome = response.status < 400 ? "ok" : "error";
-    ev.dur_ns = static_cast<std::uint64_t>(elapsed_ms * 1e6);
-    const std::uint64_t now_ns = events.NowNs();
-    ev.start_ns = now_ns >= ev.dur_ns ? now_ns - ev.dur_ns : 0;
     ev.AddAttr("status", static_cast<double>(response.status));
     event_id = events.Emit(ev);
   }

@@ -140,8 +140,10 @@ void RequestParser::Advance() {
     const std::size_t eol = buffer_.find("\r\n", consumed_);
     if (eol == std::string::npos) {
       // Enforce limits on the unterminated tail too, so an attacker cannot
-      // grow the buffer forever by never sending CRLF.
-      const std::size_t pending = buffer_.size() - consumed_;
+      // grow the buffer forever by never sending CRLF. A trailing CR may
+      // begin the line's CRLF, so it does not count toward the line yet.
+      std::size_t pending = buffer_.size() - consumed_;
+      if (pending > 0 && buffer_.back() == '\r') --pending;
       if (phase_ == Phase::kRequestLine && pending > limits_.max_request_line) {
         Fail(414, "request line exceeds limit");
       } else if (phase_ == Phase::kHeaders &&

@@ -23,13 +23,6 @@ namespace capplan::service {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double ElapsedMs(Clock::time_point since) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - since)
-      .count();
-}
-
 // The alert `fc` raises at `now`: its first step at or after `now` whose
 // mean, else whose upper bound, crosses `threshold`.
 std::optional<AlertEvent> FirstBreach(const CachedForecast& fc,
@@ -173,7 +166,7 @@ Status EstateService::Start() {
   now_ = cluster_->start_epoch();
   cursor_ = now_;
   if (config_.warmup_days > 0) {
-    const auto t0 = Clock::now();
+    obs::TraceSpan ingest_span("service.ingest", "service");
     const std::int64_t warmup_end =
         now_ + static_cast<std::int64_t>(config_.warmup_days) * 86400;
     const std::int64_t from = cursor_;
@@ -183,7 +176,7 @@ Status EstateService::Start() {
     }));
     cursor_ = warmup_end;
     now_ = warmup_end;
-    telemetry_.ingest_stage.Record(ElapsedMs(t0));
+    telemetry_.ingest_stage.Observe(ingest_span.End());
   }
   for (const auto& key : keys_) {
     ShardForKey(key).scheduler.ScheduleAt(key, now_);
@@ -196,7 +189,6 @@ Status EstateService::Start() {
 Status EstateService::IngestShard(EstateShard* shard, std::int64_t from_epoch,
                                   std::int64_t to_epoch,
                                   std::size_t* samples_out) {
-  obs::TraceSpan ingest_span("shard.ingest", "service");
   if (to_epoch <= from_epoch) return Status::OK();
   const std::int64_t span = to_epoch - from_epoch;
   if (span % config_.poll_seconds != 0) {
@@ -436,18 +428,17 @@ void EstateService::PrepareBatches(EstateShard* shard, ShardTickOutput* out) {
 
 EstateService::ShardTickOutput EstateService::TickShard(EstateShard* shard) {
   obs::TraceSpan span("shard.tick", "service");
-  const auto t0 = Clock::now();
   ShardTickOutput out;
-  const auto t_ingest = Clock::now();
+  obs::TraceSpan ingest_span("shard.ingest", "service");
   out.status = IngestShard(shard, cursor_, now_, &out.samples_ingested);
-  shard->telemetry->ingest_stage.Record(ElapsedMs(t_ingest));
+  shard->telemetry->ingest_stage.Observe(ingest_span.End());
   if (!out.status.ok()) return out;
   CheckStalenessShard(shard);
   ScoreShard(shard);
   PrepareBatches(shard, &out);
   ++shard->telemetry->ticks;
-  const double tick_ms = ElapsedMs(t0);
-  shard->telemetry->tick_stage.Record(tick_ms);
+  const double tick_ms = span.End();
+  shard->telemetry->tick_stage.Observe(tick_ms);
   if (config_.guardrail.tick_deadline_ms > 0 &&
       tick_ms > config_.guardrail.tick_deadline_ms) {
     // Watchdog: the shard fell behind its tick budget. Counted here (the
@@ -461,10 +452,7 @@ EstateService::ShardTickOutput EstateService::TickShard(EstateShard* shard) {
       ev.kind = obs::WideEventKind::kTickOverrun;
       ev.set_key("shard.tick");
       ev.shard = static_cast<std::int32_t>(shard->id);
-      ev.span_id = span.id();
-      ev.dur_ns = static_cast<std::uint64_t>(tick_ms * 1e6);
-      const std::uint64_t now_ns = events.NowNs();
-      ev.start_ns = now_ns >= ev.dur_ns ? now_ns - ev.dur_ns : 0;
+      ev.set_timing(span.timing());
       ev.outcome = "overrun";
       ev.AddAttr("deadline_ms", config_.guardrail.tick_deadline_ms);
       ev.AddAttr("samples_ingested",
@@ -491,7 +479,6 @@ void EstateService::SubmitBatch(PreparedBatch batch, TickReport* report) {
         obs::TraceSpan batch_span("shard.refit_batch", "service");
         BatchOutcome bo;
         bo.shard = shard_id;
-        const auto batch_t0 = Clock::now();
         // One session per batch: the Fourier design columns behind every
         // shared-OLS group are computed for the first series and reused by
         // the rest (identical cadence -> identical design).
@@ -502,8 +489,6 @@ void EstateService::SubmitBatch(PreparedBatch batch, TickReport* report) {
           FitOutcome out;
           out.model.key = item.key;
           out.model.fitted_at_epoch = item.fitted_at_epoch;
-          out.span_id = refit_span.id();
-          const auto t0 = Clock::now();
           // Sentinel pass: classify, repair what is safe, mask outages.
           // An irreparable window (no usable observation) fails the fit
           // outright — retry/backoff/quarantine handle it from there.
@@ -511,7 +496,8 @@ void EstateService::SubmitBatch(PreparedBatch batch, TickReport* report) {
           auto repaired = sentinel.Repair(item.window, &out.quality);
           if (!repaired.ok()) {
             out.status = repaired.status();
-            out.wall_ms = ElapsedMs(t0);
+            refit_span.End();
+            out.refit = refit_span.timing();
             bo.outcomes.push_back(std::move(out));
             continue;
           }
@@ -524,7 +510,8 @@ void EstateService::SubmitBatch(PreparedBatch batch, TickReport* report) {
             out.quality_gated = true;
           }
           auto rep = session.Run(*repaired, run_opts);
-          out.wall_ms = ElapsedMs(t0);
+          refit_span.End();
+          out.refit = refit_span.timing();
           if (!rep.ok()) {
             out.status = rep.status();
             bo.outcomes.push_back(std::move(out));
@@ -569,7 +556,7 @@ void EstateService::SubmitBatch(PreparedBatch batch, TickReport* report) {
         const core::RefitBatchSession::Stats stats = session.stats();
         bo.fourier_hits = stats.fourier_hits;
         bo.fourier_misses = stats.fourier_misses;
-        bo.wall_ms = ElapsedMs(batch_t0);
+        bo.wall_ms = batch_span.End();
         return bo;
       }));
 }
@@ -590,7 +577,7 @@ void EstateService::CollectFinished(bool block, TickReport* report) {
     ShardTelemetry* st = shards_[batch.shard]->telemetry;
     st->fourier_hits.Inc(batch.fourier_hits);
     st->fourier_misses.Inc(batch.fourier_misses);
-    st->refit_batch_stage.Record(batch.wall_ms);
+    st->refit_batch_stage.Observe(batch.wall_ms);
     it = in_flight_.erase(it);
   }
 }
@@ -601,7 +588,8 @@ void EstateService::DecideOutcome(const FitOutcome& outcome,
   const double test_mape = outcome.model.test_mape;
   // Every journal event from this outcome carries the worker's refit span
   // id, so a replayed failure can be located in the trace dump.
-  Commit({now_, key, outcome.span_id, QualityEvent{outcome.quality}});
+  const std::uint64_t span_id = outcome.refit.span_id;
+  Commit({now_, key, span_id, QualityEvent{outcome.quality}});
   if (outcome.quality_gated) ++telemetry_.quality_gated;
   // Flight recorder: one wide event per refit, sharing the worker's span id
   // with the journal events above (the /v1/debug <-> journal correlation
@@ -614,10 +602,8 @@ void EstateService::DecideOutcome(const FitOutcome& outcome,
     ev.kind = obs::WideEventKind::kRefit;
     ev.set_key(key);
     ev.shard = static_cast<std::int32_t>(ShardOfKey(key));
-    ev.span_id = outcome.span_id;
+    ev.set_timing(outcome.refit);
     ev.journal_seq = journal_seq_;
-    ev.dur_ns = static_cast<std::uint64_t>(outcome.wall_ms * 1e6);
-    ev.start_ns = events.NowNs() > ev.dur_ns ? events.NowNs() - ev.dur_ns : 0;
     ev.outcome = outcome.status.ok() ? "ok" : "error";
     ev.AddAttr("test_mape", test_mape);
     ev.AddAttr("degradation", static_cast<double>(static_cast<int>(
@@ -632,7 +618,9 @@ void EstateService::DecideOutcome(const FitOutcome& outcome,
       repair.kind = obs::WideEventKind::kQualityRepair;
       repair.set_key(key);
       repair.shard = ev.shard;
-      repair.span_id = outcome.span_id;
+      repair.span_id = span_id;
+      // The repair ran first in the refit.
+      repair.start_ns = outcome.refit.start_ns;
       repair.journal_seq = journal_seq_;
       repair.outcome = outcome.quality.trainable ? "ok" : "gated";
       repair.AddAttr("score", outcome.quality.score);
@@ -645,20 +633,20 @@ void EstateService::DecideOutcome(const FitOutcome& outcome,
       events.Emit(repair);
     }
   }
-  telemetry_.fit_stage.RecordWithExemplar(outcome.wall_ms, outcome.span_id,
-                                          refit_event_id);
+  telemetry_.fit_stage.ObserveWithExemplar(outcome.refit.ms(), span_id,
+                                           refit_event_id);
   EstateShard& shard = ShardForKey(key);
   if (!outcome.status.ok()) {
     const ScheduleEntry after = shard.scheduler.AfterFailure(key, now_);
     ++telemetry_.refits_failed;
     if (report != nullptr) ++report->refits_failed;
-    Commit({now_, key, outcome.span_id,
+    Commit({now_, key, span_id,
             FitFailEvent{after.consecutive_failures,
                          after.quarantined ? -1 : after.due_epoch,
                          outcome.status.ToString()}});
     if (after.quarantined) {
       ++telemetry_.quarantines;
-      Commit({now_, key, outcome.span_id, QuarantineEvent{}});
+      Commit({now_, key, span_id, QuarantineEvent{}});
     }
     return;
   }
@@ -691,7 +679,7 @@ void EstateService::DecideOutcome(const FitOutcome& outcome,
       ++report->refits_completed;
       ++report->promotions_rejected;
     }
-    Commit({now_, key, outcome.span_id,
+    Commit({now_, key, span_id,
             PromotionEvent{outcome.model.technique, outcome.model.spec,
                            test_mape, champion_live_pct, next_due}});
     if (events.enabled()) {
@@ -699,9 +687,8 @@ void EstateService::DecideOutcome(const FitOutcome& outcome,
       ev.kind = obs::WideEventKind::kPromotion;
       ev.set_key(key);
       ev.shard = static_cast<std::int32_t>(shard.id);
-      ev.span_id = outcome.span_id;
+      ev.span_id = span_id;
       ev.journal_seq = journal_seq_;
-      ev.start_ns = events.NowNs();
       ev.outcome = "rejected";
       ev.AddAttr("challenger_mape", test_mape);
       ev.AddAttr("champion_live_mape", champion_live_pct);
@@ -716,7 +703,7 @@ void EstateService::DecideOutcome(const FitOutcome& outcome,
   // a rollback to it compares against.
   if (champion.ok()) fit.demoted_live_mape = champion_live_pct;
   const int generation = fit.model.generation;
-  Commit({now_, key, outcome.span_id, std::move(fit)});
+  Commit({now_, key, span_id, std::move(fit)});
   // The new champion is judged only on its own errors.
   if (tracker != shard.guardrail.end()) tracker->second.tracker.ResetBaseline();
   ++telemetry_.promotions;
@@ -731,9 +718,8 @@ void EstateService::DecideOutcome(const FitOutcome& outcome,
     ev.kind = obs::WideEventKind::kPromotion;
     ev.set_key(key);
     ev.shard = static_cast<std::int32_t>(shard.id);
-    ev.span_id = outcome.span_id;
+    ev.span_id = span_id;
     ev.journal_seq = journal_seq_;
-    ev.start_ns = events.NowNs();
     ev.outcome = "promoted";
     ev.AddAttr("generation", static_cast<double>(generation));
     ev.AddAttr("test_mape", test_mape);
@@ -742,8 +728,7 @@ void EstateService::DecideOutcome(const FitOutcome& outcome,
 }
 
 void EstateService::EvaluateAlerts(TickReport* report) {
-  obs::TraceSpan span("service.alerts", "service");
-  const auto t0 = Clock::now();
+  obs::TraceSpan scan_span("service.forecast", "service");
   // Raises and clears only; the prognosis of an alert that stays active is
   // refreshed by the tick event (Apply).
   std::vector<Event> transitions;
@@ -768,9 +753,9 @@ void EstateService::EvaluateAlerts(TickReport* report) {
       transitions.push_back({now_, key, 0, AlertClearEvent{}});
     }
   }
-  telemetry_.forecast_stage.Record(ElapsedMs(t0));
+  telemetry_.forecast_stage.Observe(scan_span.End());
 
-  const auto t1 = Clock::now();
+  obs::TraceSpan alert_span("service.alert", "service");
   for (const Event& transition : transitions) {
     Commit(transition);
     if (transition.kind() == EventKind::kAlert) {
@@ -781,7 +766,7 @@ void EstateService::EvaluateAlerts(TickReport* report) {
       if (report != nullptr) ++report->alerts_cleared;
     }
   }
-  telemetry_.alert_stage.Record(ElapsedMs(t1));
+  telemetry_.alert_stage.Observe(alert_span.End());
 }
 
 void EstateService::EvaluateGuardrails(TickReport* report) {
@@ -842,7 +827,6 @@ void EstateService::EvaluateGuardrails(TickReport* report) {
         ev.shard = static_cast<std::int32_t>(shard.id);
         ev.span_id = span.id();
         ev.journal_seq = journal_seq_;
-        ev.start_ns = events.NowNs();
         ev.outcome = "rolled_back";
         ev.AddAttr("live_mape", live_pct);
         ev.AddAttr("reference_mape", reference);
@@ -995,7 +979,7 @@ Result<TickReport> EstateService::Tick() {
   // run as one job per shard (inline when unsharded). Shard state is only
   // ever touched by its own job; the driver joins every job before reading
   // the outputs, so nothing below races.
-  const auto t0 = Clock::now();
+  obs::TraceSpan ingest_span("service.ingest", "service");
   std::vector<ShardTickOutput> outputs(shards_.size());
   if (tick_pool_ == nullptr) {
     outputs[0] = TickShard(shards_[0].get());
@@ -1010,7 +994,7 @@ Result<TickReport> EstateService::Tick() {
       outputs[i] = pending[i].get();
     }
   }
-  telemetry_.ingest_stage.Record(ElapsedMs(t0));
+  telemetry_.ingest_stage.Observe(ingest_span.End());
   // The cursor only advances with the tick event, once every shard ingested
   // its slice: a failed tick leaves the window un-consumed, so the next
   // tick backfills it and no sample is lost.
@@ -1523,10 +1507,10 @@ Status EstateService::Recover() {
 
   // Rebuild the metric history, one shard at a time (in parallel when
   // sharded): segments where usable, re-poll otherwise.
-  const auto t0 = Clock::now();
+  obs::TraceSpan ingest_span("service.ingest", "service");
   CAPPLAN_RETURN_NOT_OK(ForEachShard(
       [this](EstateShard* shard) { return RecoverShardHistory(shard); }));
-  telemetry_.ingest_stage.Record(ElapsedMs(t0));
+  telemetry_.ingest_stage.Observe(ingest_span.End());
 
   CAPPLAN_ASSIGN_OR_RETURN(journal_, EventJournal::Open(JournalPath()));
   started_ = true;

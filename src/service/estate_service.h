@@ -16,6 +16,7 @@
 #include "core/capacity.h"
 #include "core/pipeline.h"
 #include "obs/slo.h"
+#include "obs/trace.h"
 #include "quality/guardrail.h"
 #include "quality/sentinel.h"
 #include "repo/model_store.h"
@@ -391,12 +392,13 @@ class EstateService {
     // and accuracy, coefficients for warm starts, detected periods.
     repo::StoredModel model;
     CachedForecast forecast;
-    double wall_ms = 0.0;
     bool quality_gated = false;  // sentinel kept this fit off the grid
     quality::QualityReport quality;
-    // The worker's refit trace span, stamped onto this outcome's journal
-    // events so a logged failure can be found in the trace timeline.
-    std::uint64_t span_id = 0;
+    // The worker's refit span. Its id is stamped onto this outcome's
+    // journal events so a logged failure can be found in the trace
+    // timeline; its start and duration time the refit wide event and the
+    // fit stage.
+    obs::SpanTiming refit;
   };
 
   // One series of a prepared refit batch: everything the pool job needs,

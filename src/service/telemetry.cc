@@ -58,9 +58,9 @@ ServiceTelemetry::ServiceTelemetry()
                                "Wide events overwritten in full ring buffers");
 
   auto stage = [this](const char* name) {
-    return StageStats(registry->GetHistogram(
-        "capplan_stage_latency_ms", {}, {{"stage", name}},
-        "Per-stage wall time distribution"));
+    return registry->GetHistogram("capplan_stage_latency_ms", {},
+                                  {{"stage", name}},
+                                  "Per-stage wall time distribution");
   };
   ingest_stage = stage("ingest");
   fit_stage = stage("fit");
@@ -75,7 +75,7 @@ void ServiceTelemetry::EnsureShards(std::size_t n) {
       return registry->GetCounter(name, labels, help);
     };
     auto histogram = [&](const char* name, const char* help) {
-      return StageStats(registry->GetHistogram(name, {}, labels, help));
+      return registry->GetHistogram(name, {}, labels, help);
     };
     ShardTelemetry s;
     s.ticks = counter("capplan_shard_ticks_total", "Shard tick jobs run");
@@ -140,16 +140,16 @@ void ServiceTelemetry::EnsureShards(std::size_t n) {
 namespace {
 
 void WriteStage(JsonWriter* w, const std::string& key,
-                const StageStats& stage) {
+                const obs::Histogram& stage) {
   w->Key(key);
   w->BeginObject();
   w->Integer("count", static_cast<long long>(stage.count()));
-  w->Number("total_ms", stage.total_ms());
-  w->Number("mean_ms", stage.mean_ms());
-  w->Number("max_ms", stage.max_ms());
-  w->Number("min_ms", stage.min_ms());
-  w->Number("p50_ms", stage.p50_ms());
-  w->Number("p99_ms", stage.p99_ms());
+  w->Number("total_ms", stage.sum());
+  w->Number("mean_ms", stage.mean());
+  w->Number("max_ms", stage.max());
+  w->Number("min_ms", stage.min());
+  w->Number("p50_ms", stage.quantile(0.50));
+  w->Number("p99_ms", stage.quantile(0.99));
   w->EndObject();
 }
 

@@ -10,43 +10,6 @@
 
 namespace capplan::service {
 
-// Latency distribution for one service stage, backed by a fixed-bucket
-// histogram in the telemetry's MetricsRegistry (obs/metrics.h). The earlier
-// mean/max accumulator hid the shape of the distribution — a single 40 s
-// grid fit among hundreds of 50 ms ones was invisible in the mean — so the
-// stats now expose min/p50/p90/p99 alongside the original fields.
-class StageStats {
- public:
-  StageStats() = default;
-  explicit StageStats(obs::Histogram histogram) : histogram_(histogram) {}
-
-  void Record(double ms) { histogram_.Observe(ms); }
-  // Record() plus exemplar capture: the covering bucket remembers this
-  // observation's trace span and wide-event ids for OpenMetrics export, so
-  // a latency outlier links straight to its flight-recorder record.
-  void RecordWithExemplar(double ms, std::uint64_t span_id,
-                          std::uint64_t event_id) {
-    histogram_.ObserveWithExemplar(ms, span_id, event_id);
-  }
-
-  std::uint64_t count() const { return histogram_.count(); }
-  double total_ms() const { return histogram_.sum(); }
-  double mean_ms() const {
-    const std::uint64_t n = count();
-    return n == 0 ? 0.0 : histogram_.sum() / static_cast<double>(n);
-  }
-  double min_ms() const { return histogram_.min(); }
-  double max_ms() const { return histogram_.max(); }
-  // Interpolated within the covering histogram bucket, clamped to the
-  // observed [min, max] — see obs::HistogramCell::Quantile.
-  double p50_ms() const { return histogram_.quantile(0.50); }
-  double p90_ms() const { return histogram_.quantile(0.90); }
-  double p99_ms() const { return histogram_.quantile(0.99); }
-
- private:
-  obs::Histogram histogram_;  // detached (all-zero) if default-constructed
-};
-
 // Per-shard slice of the service telemetry (labels {shard="i"} on every
 // cell). One entry per estate shard, created by
 // ServiceTelemetry::EnsureShards; an unsharded service has exactly one.
@@ -77,9 +40,10 @@ struct ShardTelemetry {
   obs::Gauge guardrail_ph_samples;   // most detector samples since baseline
   obs::Gauge health_state;           // 0 healthy / 1 degraded / 2 critical
 
-  StageStats tick_stage;         // whole shard tick job wall time
-  StageStats ingest_stage;       // ingest slice of the tick job
-  StageStats refit_batch_stage;  // one batch fit job, end to end
+  // Stage latency histograms (ms), fed by the stage's TraceSpan::End().
+  obs::Histogram tick_stage;         // whole shard tick job wall time
+  obs::Histogram ingest_stage;       // ingest slice of the tick job
+  obs::Histogram refit_batch_stage;  // one batch fit job, end to end
 };
 
 // Counters and per-stage latencies of the estate planning daemon. The
@@ -138,10 +102,11 @@ struct ServiceTelemetry {
   obs::Counter obs_trace_dropped;
   obs::Counter obs_events_dropped;
 
-  StageStats ingest_stage;
-  StageStats fit_stage;      // worker wall time per refit
-  StageStats forecast_stage; // breach scan over cached forecasts
-  StageStats alert_stage;    // alert state transitions + journalling
+  // Stage latency histograms (ms), fed by the stage's TraceSpan::End().
+  obs::Histogram ingest_stage;
+  obs::Histogram fit_stage;       // worker wall time per refit
+  obs::Histogram forecast_stage;  // breach scan over cached forecasts
+  obs::Histogram alert_stage;     // alert state transitions + journalling
 
   // Grows `shards` to n entries, registering each one's capplan_shard_*
   // cells with a {shard="i"} label. Idempotent; never shrinks.

@@ -1,7 +1,6 @@
 #include "store/series_store.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 
@@ -75,7 +74,6 @@ void SeriesStore::MaybeSeal() {
 Status SeriesStore::SealFront(std::size_t n) {
   obs::TraceSpan span("store.seal", "store");
   CAPPLAN_RETURN_NOT_OK(FaultHit("store.seal"));
-  const auto t0 = std::chrono::steady_clock::now();
   std::vector<double> run(n);
   for (std::size_t i = 0; i < n; ++i) run[i] = hot_.At(i);
   const std::int64_t block_start =
@@ -88,22 +86,15 @@ Status SeriesStore::SealFront(std::size_t n) {
     stats_->sealed_bytes += block.compressed_bytes();
     stats_->sealed_raw_bytes += block.raw_bytes();
     ++stats_->blocks_sealed;
-    stats_->seal_ms.Observe(
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
   }
+  const double seal_ms = span.End();
+  if (stats_ != nullptr) stats_->seal_ms.Observe(seal_ms);
   obs::EventLog& events = obs::EventLog::Instance();
   if (events.enabled()) {
     obs::WideEvent ev;
     ev.kind = obs::WideEventKind::kStoreSeal;
     ev.set_key("store.seal");
-    ev.span_id = span.id();
-    ev.dur_ns = static_cast<std::uint64_t>(
-        std::chrono::duration<double, std::nano>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    ev.start_ns = events.NowNs() > ev.dur_ns ? events.NowNs() - ev.dur_ns : 0;
+    ev.set_timing(span.timing());
     ev.AddAttr("samples", static_cast<double>(n));
     ev.AddAttr("compressed_bytes",
                static_cast<double>(block.compressed_bytes()));

@@ -1,6 +1,5 @@
 #include "store/tiered_store.h"
 
-#include <chrono>
 #include <utility>
 
 #include "common/fault.h"
@@ -126,7 +125,6 @@ void TieredStore::SealAll() {
 Status TieredStore::Flush(const std::string& path) const {
   obs::TraceSpan span("store.flush", "store");
   CAPPLAN_RETURN_NOT_OK(FaultHit("store.flush"));
-  const auto t0 = std::chrono::steady_clock::now();
   // Sealed records go out straight from the live blocks, with the CRC each
   // block got at seal; only the hot tail is copied out of its ring.
   SegmentWriter writer;
@@ -149,18 +147,13 @@ Status TieredStore::Flush(const std::string& path) const {
                   hot);
   }
   CAPPLAN_RETURN_NOT_OK(writer.Finish(path));
-  const double flush_ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-  flush_ms_.Observe(flush_ms);
+  flush_ms_.Observe(span.End());
   obs::EventLog& events = obs::EventLog::Instance();
   if (events.enabled()) {
     obs::WideEvent ev;
     ev.kind = obs::WideEventKind::kStoreFlush;
     ev.set_key(path);
-    ev.span_id = span.id();
-    ev.dur_ns = static_cast<std::uint64_t>(flush_ms * 1e6);
-    ev.start_ns = events.NowNs() > ev.dur_ns ? events.NowNs() - ev.dur_ns : 0;
+    ev.set_timing(span.timing());
     ev.AddAttr("series", static_cast<double>(series_.size()));
     events.Emit(ev);
   }
@@ -171,7 +164,6 @@ Status TieredStore::Open(const std::string& path) {
   obs::TraceSpan span("store.reopen", "store");
   Clear();
   CAPPLAN_RETURN_NOT_OK(FaultHit("store.reopen"));
-  const auto t0 = std::chrono::steady_clock::now();
   SegmentOpenReport report;
   CAPPLAN_ASSIGN_OR_RETURN(std::vector<SegmentSeries> loaded,
                            ReadSegmentFile(path, &report));
@@ -184,9 +176,7 @@ Status TieredStore::Open(const std::string& path) {
                              options_.series, stats_.get()));
     series_.emplace(std::move(entry.key), std::move(restored));
   }
-  open_ms_.Observe(std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count());
+  open_ms_.Observe(span.End());
   UpdateGauges();
   return Status::OK();
 }

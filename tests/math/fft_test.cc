@@ -1,6 +1,8 @@
 #include "math/fft.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -150,6 +152,39 @@ TEST(PeriodogramTest, ParsevalHolds) {
 TEST(PeriodogramTest, TooShortReturnsEmpty) {
   EXPECT_TRUE(Periodogram({1.0}).empty());
   EXPECT_TRUE(Periodogram({}).empty());
+}
+
+// Periodogram bits on a fixed series, captured from the default x86-64
+// build. Any conforming build must reproduce them, an -march=x86-64-v3 one
+// included; a build that fuses the complex multiplies into FMAs does not
+// (1008 takes the Bluestein path, 1024 the plain radix-2 one).
+TEST(PeriodogramTest, BitsArePinned) {
+  struct Pin {
+    std::size_t n;
+    std::uint64_t fnv;  // FNV-1a of the ordinates' bytes
+  };
+  const Pin pins[] = {{1008, 0x348a1f63bb9c8301ULL},
+                      {1024, 0xf62efffd041ab4d9ULL}};
+  for (const Pin& pin : pins) {
+    std::vector<double> x(pin.n);
+    for (std::size_t t = 0; t < pin.n; ++t) {
+      x[t] = 100.0 + 0.05 * static_cast<double>(t) +
+             1.5 * static_cast<double>(t % 24) +
+             2.0 * static_cast<double>((t / 24) % 7) +
+             0.1 * static_cast<double>((7919 * t) % 13);
+    }
+    const std::vector<double> pgram = Periodogram(x);
+    ASSERT_EQ(pgram.size(), pin.n / 2);
+    std::uint64_t hash = 1469598103934665603ULL;
+    for (double v : pgram) {
+      const std::uint64_t b = std::bit_cast<std::uint64_t>(v);
+      for (int i = 0; i < 8; ++i) {
+        hash ^= (b >> (8 * i)) & 0xff;
+        hash *= 1099511628211ULL;
+      }
+    }
+    EXPECT_EQ(hash, pin.fnv) << "n=" << pin.n;
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "common/thread_pool.h"
 #include "obs/trace.h"
+#include "store/tiered_store.h"
 
 namespace capplan::obs {
 namespace {
@@ -27,7 +28,7 @@ class EventLogTest : public ::testing::Test {
   void TearDown() override {
     EventLog::Instance().Disable();
     EventLog::Instance().Clear();
-    EventLog::Instance().SetClockForTest(nullptr);
+    SetClockForTest(nullptr);
   }
 };
 
@@ -155,30 +156,68 @@ TEST_F(EventLogTest, KindNamesRoundTrip) {
 
 TEST_F(EventLogTest, InjectedClockDrivesTimestamps) {
   EventLog& log = EventLog::Instance();
-  log.SetClockForTest(+[]() -> std::uint64_t { return 123456789ull; });
-  EXPECT_EQ(log.NowNs(), 123456789ull);
-  log.SetClockForTest(nullptr);
-  EXPECT_GT(log.NowNs(), 0u);
-}
-
-TEST_F(EventLogTest, ScopeStampsDurationAndEmitsOnce) {
-  EventLog& log = EventLog::Instance();
   log.Enable();
-  std::uint64_t id = 0;
-  {
-    WideEventScope scope(WideEventKind::kStoreFlush);
-    scope.event().set_key("scoped");
-    scope.event().outcome = "error";
-    id = scope.End();
-    // The destructor must not double-emit after an explicit End().
-  }
-  ASSERT_GT(id, 0u);
+  SetClockForTest(+[]() -> std::uint64_t { return 123456789ull; });
+  EXPECT_EQ(NowNs(), 123456789ull);
+  // An event emitted without a start is stamped from the same clock.
+  log.Emit(Event(WideEventKind::kPromotion, "instant"));
   const auto events = log.Snapshot();
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].id, id);
-  EXPECT_STREQ(events[0].key, "scoped");
-  EXPECT_STREQ(events[0].outcome, "error");
-  EXPECT_GT(events[0].start_ns, 0u);
+  EXPECT_EQ(events[0].start_ns, 123456789ull);
+  SetClockForTest(nullptr);
+  EXPECT_GT(NowNs(), 0u);
+}
+
+// Spans and wide events share one thread numbering and one clock, so the
+// tid that /v1/debug/events prints is the Chrome-trace tid of the same
+// thread, and an event timed by a span carries the span's own timestamps.
+TEST_F(EventLogTest, SpansAndWideEventsShareThreadIdAndClock) {
+  Tracer& tracer = Tracer::Instance();
+  tracer.Enable();
+  tracer.Clear();
+  EventLog& log = EventLog::Instance();
+  log.Enable();
+  // Each pool thread records a span, then emits an event outside it. The
+  // middle thread records a span only: with a thread counter per recorder,
+  // the two counters would then disagree on the last thread.
+  std::vector<std::uint32_t> span_tids;
+  std::vector<std::uint32_t> event_tids;
+  for (int round = 0; round < 3; ++round) {
+    ThreadPool pool(1);
+    pool.Submit([round] {
+          { TraceSpan span("test.work", "test"); }
+          if (round != 1) {
+            EventLog::Instance().Emit(Event(WideEventKind::kRefit, "k"));
+          }
+        })
+        .get();
+    for (const TraceEvent& e : tracer.Drain()) span_tids.push_back(e.tid);
+    for (const WideEvent& e : log.Drain()) event_tids.push_back(e.tid);
+  }
+  ASSERT_EQ(span_tids.size(), 3u);
+  ASSERT_EQ(event_tids.size(), 2u);
+  EXPECT_EQ(event_tids[0], span_tids[0]);
+  EXPECT_EQ(event_tids[1], span_tids[2]);
+
+  // One injected clock: the store.flush event is stamped from its span.
+  static std::atomic<std::uint64_t> fake_now{0};
+  SetClockForTest(+[]() -> std::uint64_t { return fake_now += 1000; });
+  store::TieredStore store;
+  store.GetOrCreate("k", 0, tsa::Frequency::kHourly).Append(1.0);
+  ASSERT_TRUE(store.Flush(::testing::TempDir() + "/shared_clock.capseg").ok());
+  const std::vector<TraceEvent> spans = tracer.Drain();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_STREQ(spans[0].name, "store.flush");
+  const std::vector<WideEvent> events = log.Snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind, WideEventKind::kStoreFlush);
+  EXPECT_EQ(events[0].span_id, spans[0].span_id);
+  EXPECT_EQ(events[0].tid, spans[0].tid);
+  EXPECT_EQ(events[0].start_ns, spans[0].start_ns);
+  EXPECT_EQ(events[0].dur_ns, spans[0].dur_ns);
+  EXPECT_GT(events[0].dur_ns, 0u);
+  tracer.Disable();
+  tracer.Clear();
 }
 
 // Hammer for TSan: many pool threads emitting concurrently with snapshot

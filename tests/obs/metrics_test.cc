@@ -1,8 +1,10 @@
 #include "obs/metrics.h"
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -199,6 +201,42 @@ TEST(RegistryTest, ConcurrentRecordingKeepsExactTotals) {
   EXPECT_EQ(h.count(), kThreads * kPerThread);
   EXPECT_DOUBLE_EQ(h.min(), 0.0);
   EXPECT_DOUBLE_EQ(h.max(), 199.0);
+}
+
+// Exemplar slots are seqlocks: pool writers publish (v, span, event) triples
+// that agree with each other while a reader loops Exemplars(), and no read
+// may mix two writers' fields. Every value lands in the +Inf bucket, so all
+// writers contend for one slot. Run under TSan in CI.
+TEST(RegistryTest, ConcurrentExemplarReadsAreNeverTorn) {
+  HistogramCell cell({0.5});
+  constexpr std::size_t kWriters = 4;
+  constexpr std::uint64_t kPerWriter = 20000;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      for (const Exemplar& e : cell.Exemplars()) {
+        if (!e.valid) continue;
+        ASSERT_EQ(e.span_id, e.event_id);
+        ASSERT_EQ(e.value, static_cast<double>(e.span_id));
+      }
+    }
+  });
+  {
+    ThreadPool pool(kWriters);
+    pool.ParallelFor(kWriters, [&](std::size_t w) {
+      for (std::uint64_t i = 1; i <= kPerWriter; ++i) {
+        const std::uint64_t id = w * kPerWriter + i;
+        cell.ObserveWithExemplar(static_cast<double>(id), id, id);
+      }
+    });
+  }
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(cell.Count(), kWriters * kPerWriter);
+  const Exemplar last = cell.Exemplars().back();
+  ASSERT_TRUE(last.valid);
+  EXPECT_EQ(last.value, static_cast<double>(last.span_id));
+  EXPECT_EQ(last.span_id, last.event_id);
 }
 
 }  // namespace

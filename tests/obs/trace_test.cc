@@ -28,12 +28,12 @@ class TraceTest : public ::testing::Test {
     Tracer::Instance().Disable();
     Tracer::Instance().Clear();
     g_fake_now.store(0);
-    Tracer::Instance().SetClockForTest(&FakeNow);
+    SetClockForTest(&FakeNow);
   }
   void TearDown() override {
     Tracer::Instance().Disable();
     Tracer::Instance().Clear();
-    Tracer::Instance().SetClockForTest(nullptr);
+    SetClockForTest(nullptr);
   }
 };
 

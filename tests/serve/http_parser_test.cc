@@ -1,4 +1,8 @@
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -187,6 +191,16 @@ TEST(HttpParserTest, OversizedRequestLineCaughtWithoutTerminator) {
   EXPECT_EQ(p.error_status(), 414);
 }
 
+TEST(HttpParserTest, RequestLineAtTheLimitMaySplitInsideItsCrlf) {
+  ParserLimits limits;
+  limits.max_request_line = 24;
+  const std::string line = "GET /" + std::string(10, 'a') + " HTTP/1.1";
+  ASSERT_EQ(line.size(), limits.max_request_line);
+  RequestParser p(limits);
+  ASSERT_EQ(FeedAll(&p, line + "\r"), State::kNeedMore);
+  EXPECT_EQ(FeedAll(&p, "\n\r\n"), State::kComplete);
+}
+
 TEST(HttpParserTest, OversizedHeadersAre431) {
   ParserLimits limits;
   limits.max_header_bytes = 128;
@@ -250,6 +264,147 @@ TEST(HttpSerializeTest, ExtraHeadersIncluded) {
   EXPECT_NE(wire.find("HTTP/1.1 429 Too Many Requests\r\n"),
             std::string::npos);
   EXPECT_NE(wire.find("Retry-After: 1\r\n"), std::string::npos);
+}
+
+// Seeded mutational fuzzing of the request parser, which reads socket
+// bytes. Valid GET, HEAD and POST requests, pipelined and keep-alive, are
+// mutated with byte flips, truncation, CRLF inserts and deletes, huge
+// Content-Length digits and header floods past the limits. Each input is
+// fed once whole and once in random chunks: both feeds must surface the
+// same requests and end in the same state, and a rejection carries one of
+// the statuses the server maps parse errors to.
+class RequestMutator {
+ public:
+  explicit RequestMutator(std::uint64_t seed) : rng_(seed) {}
+
+  std::string Mutate(std::string s) {
+    const int n = 1 + static_cast<int>(Below(3));
+    for (int i = 0; i < n; ++i) MutateOnce(&s);
+    return s;
+  }
+
+  std::size_t Below(std::size_t n) { return n == 0 ? 0 : rng_() % n; }
+
+ private:
+  void MutateOnce(std::string* s) {
+    const std::size_t at = Below(s->size() + 1);
+    switch (Below(6)) {
+      case 0:  // byte flip
+        if (!s->empty()) {
+          (*s)[Below(s->size())] ^= static_cast<char>(1 << Below(8));
+        }
+        break;
+      case 1:  // truncation
+        s->resize(at);
+        break;
+      case 2:  // CRLF insert
+        s->insert(at, "\r\n");
+        break;
+      case 3: {  // CRLF delete
+        const std::size_t pos = s->find("\r\n", at);
+        if (pos != std::string::npos) s->erase(pos, 2);
+        break;
+      }
+      case 4: {  // Content-Length with a run of digits, after the first line
+        std::string digits(1 + Below(30), '0');
+        for (char& c : digits) c = static_cast<char>('0' + Below(10));
+        const std::size_t eol = s->find("\r\n");
+        s->insert(eol == std::string::npos ? at : eol + 2,
+                  "Content-Length: " + digits + "\r\n");
+        break;
+      }
+      default: {  // header flood, or a padded request target
+        if (Below(2) == 0) {
+          std::string flood;
+          for (std::size_t k = 0, n = 1 + Below(40); k < n; ++k) {
+            flood += "X-Flood-" + std::to_string(k) + ": " +
+                     std::string(Below(64), 'v') + "\r\n";
+          }
+          const std::size_t eol = s->find("\r\n");
+          s->insert(eol == std::string::npos ? at : eol + 2, flood);
+        } else {
+          const std::size_t slash = s->find('/');
+          s->insert(slash == std::string::npos ? at : slash + 1,
+                    std::string(Below(200), 'p'));
+        }
+        break;
+      }
+    }
+  }
+
+  std::mt19937_64 rng_;
+};
+
+// Everything a feed surfaced: each request's fields, then the end state.
+std::vector<std::string> Outcome(RequestParser* p, const std::string& bytes,
+                                 RequestMutator* chunker) {
+  std::vector<std::string> out;
+  std::size_t pos = 0;
+  while (pos < bytes.size()) {
+    const std::size_t n =
+        chunker == nullptr ? bytes.size() : 1 + chunker->Below(16);
+    const std::size_t take = std::min(n, bytes.size() - pos);
+    p->Feed(bytes.data() + pos, take);
+    pos += take;
+    while (p->state() == State::kComplete) {
+      const HttpRequest r = p->TakeRequest();
+      std::string fields = r.method + ' ' + r.target + ' ' + r.path + ' ' +
+                           std::to_string(r.version_minor) +
+                           (r.keep_alive ? " keep-alive" : " close");
+      for (const auto& [k, v] : r.query) fields += " q:" + k + '=' + v;
+      for (const auto& [k, v] : r.headers) fields += " h:" + k + ':' + v;
+      out.push_back(fields + " body:" + r.body);
+    }
+  }
+  if (p->state() == State::kError) {
+    out.push_back("error " + std::to_string(p->error_status()));
+  } else {
+    out.push_back("need-more " + std::to_string(p->buffered_bytes()));
+  }
+  return out;
+}
+
+TEST(RequestParserFuzzTest, WholeAndChunkedFeedsAgree) {
+  const std::vector<std::string> seeds = {
+      "GET /v1/forecast?key=cdbm011%2Fcpu&horizon=24 HTTP/1.1\r\n"
+      "Host: localhost\r\nAccept: */*\r\n\r\n",
+      "HEAD /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+      "POST /v1/estate HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello",
+      "GET /v1/breach?key=a HTTP/1.1\r\n\r\n"
+      "POST /v1/x HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc"
+      "HEAD /v1/health HTTP/1.1\r\nConnection: close\r\n\r\n",
+  };
+  ParserLimits small;
+  small.max_request_line = 96;
+  small.max_header_bytes = 256;
+  small.max_body_bytes = 64;
+  const std::set<int> mapped = {400, 413, 414, 431, 501, 505};
+
+  RequestMutator mutator(20261019);
+  std::size_t complete = 0;
+  std::size_t rejected = 0;
+  constexpr int kInputs = 20000;
+  for (int i = 0; i < kInputs; ++i) {
+    const std::string input =
+        mutator.Mutate(seeds[mutator.Below(seeds.size())]);
+    const ParserLimits limits = mutator.Below(2) ? small : ParserLimits{};
+    RequestParser whole(limits);
+    RequestParser chunked(limits);
+    const std::vector<std::string> a = Outcome(&whole, input, nullptr);
+    const std::vector<std::string> b = Outcome(&chunked, input, &mutator);
+    ASSERT_EQ(a, b) << "input: " << input;
+    if (whole.state() == State::kError) {
+      ++rejected;
+      ASSERT_EQ(mapped.count(whole.error_status()), 1u)
+          << whole.error_status() << " for input: " << input;
+      EXPECT_FALSE(whole.error().empty());
+    } else if (a.size() > 1) {
+      ++complete;
+    }
+  }
+  // The mutations must leave requests intact as well as break them.
+  EXPECT_GT(complete, static_cast<std::size_t>(kInputs / 10));
+  EXPECT_GT(rejected, static_cast<std::size_t>(kInputs / 10));
 }
 
 }  // namespace

@@ -496,8 +496,8 @@ TEST(EstateServiceTest, TelemetryJsonIsWellFormed) {
   ServiceTelemetry telemetry;
   telemetry.ticks = 3;
   telemetry.refits_succeeded = 2;
-  telemetry.fit_stage.Record(12.5);
-  telemetry.fit_stage.Record(7.5);
+  telemetry.fit_stage.Observe(12.5);
+  telemetry.fit_stage.Observe(7.5);
   const std::string json = TelemetryToJson(telemetry);
   EXPECT_NE(json.find("\"ticks\":3"), std::string::npos);
   EXPECT_NE(json.find("\"refits_succeeded\":2"), std::string::npos);
@@ -513,8 +513,8 @@ TEST(EstateServiceTest, TelemetryJsonGoldenFieldsAreByteStable) {
   ServiceTelemetry telemetry;
   telemetry.ticks = 3;
   telemetry.refits_succeeded = 2;
-  telemetry.fit_stage.Record(12.5);
-  telemetry.fit_stage.Record(7.5);
+  telemetry.fit_stage.Observe(12.5);
+  telemetry.fit_stage.Observe(7.5);
   const std::string json = TelemetryToJson(telemetry);
   const std::string golden_counters =
       "{\"ticks\":3,\"polls\":0,\"samples_ingested\":0,\"hourly_points\":0,"
